@@ -5,7 +5,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test vet fmt race check smoke chaos linkcheck bench bench-parallel bench-serve bench-cluster bench-chaos bench-codec fuzz profile tracing-gate usage-gate mutate-gate mutate-gate-fast
+.PHONY: build test vet fmt race check bench-check smoke chaos linkcheck bench bench-parallel bench-serve bench-cluster bench-chaos bench-codec fuzz profile tracing-gate usage-gate mutate-gate mutate-gate-fast
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,13 @@ test:
 race:
 	$(GO) test -race ./internal/config/ ./internal/pricing/ ./internal/wtp/ ./internal/codec/ ./internal/server/ ./internal/cluster/ ./client/
 
-check: fmt vet build test race linkcheck
+# The benchmark runner is a module of its own (bench/go.mod), so ./... in
+# the targets above never compiles it; vet and self-test it explicitly so an
+# API change it depends on cannot break it unnoticed.
+bench-check:
+	cd bench && $(GO) vet . && $(GO) test .
+
+check: fmt vet build test race linkcheck bench-check
 
 # Fail on broken intra-repo markdown links in README.md and docs/ (the
 # docs CI job's gate; external URLs are not fetched).

@@ -206,52 +206,8 @@ func run(o options) error {
 			return cluster.NewSolver(w, opts, cluster.Config{Workers: transports, RequestTimeout: o.rpcTimeout})
 		}
 		cfg.Ready = cluster.Ready(transports, 0)
-		cfg.WorkerStatus = func() []server.WorkerStatusDoc {
-			docs := make([]server.WorkerStatusDoc, len(breakers))
-			for i, b := range breakers {
-				s := b.Snapshot()
-				docs[i] = server.WorkerStatusDoc{
-					Addr: s.Addr, State: s.State, FailureRate: s.FailureRate,
-					Trips: s.Trips, RetryInMs: s.RetryInMs,
-				}
-			}
-			return docs
-		}
-		cfg.ExtraMetrics = func() ([]server.GaugeRow, []server.CounterRow) {
-			// Rows sharing a metric name must be adjacent: the renderer
-			// emits one HELP/TYPE header per consecutive name run.
-			snaps := make([]cluster.BreakerSnapshot, len(breakers))
-			labels := make([]string, len(breakers))
-			for i, b := range breakers {
-				snaps[i] = b.Snapshot()
-				labels[i] = fmt.Sprintf("worker=%q", snaps[i].Addr)
-			}
-			var gauges []server.GaugeRow
-			var counters []server.CounterRow
-			for i, s := range snaps {
-				open := 0.0
-				if s.State != "closed" {
-					open = 1
-				}
-				gauges = append(gauges, server.GaugeRow{Name: "bundled_worker_breaker_open", Help: "1 while the worker's circuit breaker is open or probing, 0 when closed.", Labels: labels[i], Value: open})
-			}
-			for i, s := range snaps {
-				gauges = append(gauges, server.GaugeRow{Name: "bundled_worker_breaker_failure_rate", Help: "Failure fraction in the worker's breaker window.", Labels: labels[i], Value: s.FailureRate})
-			}
-			for i, s := range snaps {
-				counters = append(counters, server.CounterRow{Name: "bundled_worker_breaker_trips_total", Help: "Times the worker's circuit breaker opened.", Labels: labels[i], Value: s.Trips})
-			}
-			for i, s := range snaps {
-				counters = append(counters, server.CounterRow{Name: "bundled_worker_breaker_rejected_total", Help: "Calls rejected without dialing by the worker's open breaker.", Labels: labels[i], Value: s.Rejected})
-			}
-			bin, legacy := cluster.FeedBytes()
-			counters = append(counters,
-				server.CounterRow{Name: "bundled_feed_bytes_total", Help: "Span-feed payload bytes shipped to workers, by codec.", Labels: `codec="bin"`, Value: bin},
-				server.CounterRow{Name: "bundled_feed_bytes_total", Help: "Span-feed payload bytes shipped to workers, by codec.", Labels: `codec="json"`, Value: legacy},
-			)
-			loadG, loadC := fleet.MetricRows()
-			return append(gauges, loadG...), append(counters, loadC...)
-		}
+		cfg.WorkerStatus = fleet.WorkerStatus
+		cfg.ExtraMetrics = fleet.MetricRows
 		logger.Info("cluster mode", "workers", len(transports), "addrs", o.workers)
 	}
 	var store *server.Store

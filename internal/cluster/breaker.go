@@ -138,7 +138,7 @@ type BreakerSnapshot struct {
 // daemon startup (see cmd/bundled) so every session shares one health
 // view per worker.
 type Breaker struct {
-	t   Transport
+	*guarded
 	cfg BreakerConfig
 
 	mu       sync.Mutex
@@ -158,12 +158,13 @@ type Breaker struct {
 // NewBreaker wraps t with a circuit breaker.
 func NewBreaker(t Transport, cfg BreakerConfig) *Breaker {
 	cfg = cfg.withDefaults()
-	return &Breaker{
-		t:      t,
+	b := &Breaker{
 		cfg:    cfg,
 		window: make([]bool, cfg.Window),
 		rng:    mrand.New(mrand.NewSource(cfg.Seed)),
 	}
+	b.guarded = wrap(t, b.guard)
+	return b
 }
 
 // allow decides whether a call may proceed, transitioning open → half-open
@@ -278,7 +279,7 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	s := BreakerSnapshot{
-		Addr:     b.t.Addr(),
+		Addr:     b.Addr(),
 		State:    b.state.String(),
 		Failures: b.fails,
 		Samples:  b.size,
@@ -298,69 +299,21 @@ func (b *Breaker) Snapshot() BreakerSnapshot {
 	return s
 }
 
-// call gates and records one transport operation.
-func call[T any](b *Breaker, ctx context.Context, op func() (T, error)) (T, error) {
-	var zero T
+// guard gates and records one RPC. Health passes through unrecorded and
+// ungated: readiness probes must keep observing the real worker while the
+// breaker rejects work, or an open breaker could never be distinguished from
+// a dead worker on /healthz.
+func (b *Breaker) guard(ctx context.Context, op string, next func(context.Context) error) error {
+	if op == "health" {
+		return next(ctx)
+	}
 	if !b.allow() {
-		return zero, fmt.Errorf("%w: %s", ErrBreakerOpen, b.t.Addr())
+		return fmt.Errorf("%w: %s", ErrBreakerOpen, b.Addr())
 	}
-	v, err := op()
+	err := next(ctx)
 	b.record(ctx, err)
-	return v, err
-}
-
-func (b *Breaker) Assign(ctx context.Context, corpus string, req *AssignRequest) error {
-	_, err := call(b, ctx, func() (struct{}, error) {
-		return struct{}{}, b.t.Assign(ctx, corpus, req)
-	})
 	return err
 }
-
-// Delta gates the span-delta feed like any other RPC when the wrapped
-// transport supports it; otherwise it reports delta-unsupported without
-// touching the breaker, and the coordinator full-feeds instead.
-func (b *Breaker) Delta(ctx context.Context, corpus string, req DeltaRequest) error {
-	dt, ok := b.t.(DeltaTransport)
-	if !ok {
-		return errDeltaUnsupported
-	}
-	_, err := call(b, ctx, func() (struct{}, error) {
-		return struct{}{}, dt.Delta(ctx, corpus, req)
-	})
-	return err
-}
-
-func (b *Breaker) Drop(ctx context.Context, corpus string) error {
-	_, err := call(b, ctx, func() (struct{}, error) {
-		return struct{}{}, b.t.Drop(ctx, corpus)
-	})
-	return err
-}
-
-func (b *Breaker) Vector(ctx context.Context, corpus string, req VectorRequest) (VectorResponse, error) {
-	return call(b, ctx, func() (VectorResponse, error) { return b.t.Vector(ctx, corpus, req) })
-}
-
-func (b *Breaker) Union(ctx context.Context, corpus string, req UnionRequest) (VectorResponse, error) {
-	return call(b, ctx, func() (VectorResponse, error) { return b.t.Union(ctx, corpus, req) })
-}
-
-func (b *Breaker) Stats(ctx context.Context, corpus string, req StatsRequest) (StatsResponse, error) {
-	return call(b, ctx, func() (StatsResponse, error) { return b.t.Stats(ctx, corpus, req) })
-}
-
-func (b *Breaker) Hist(ctx context.Context, corpus string, req HistRequest) (HistResponse, error) {
-	return call(b, ctx, func() (HistResponse, error) { return b.t.Hist(ctx, corpus, req) })
-}
-
-// Health passes through unrecorded and ungated: readiness probes must keep
-// observing the real worker while the breaker rejects work, or an open
-// breaker could never be distinguished from a dead worker on /healthz.
-func (b *Breaker) Health(ctx context.Context) (WorkerHealth, error) {
-	return b.t.Health(ctx)
-}
-
-func (b *Breaker) Addr() string { return b.t.Addr() }
 
 // WrapBreakers wraps every transport in ts with its own breaker under one
 // shared config, returning the wrapped fleet and the breakers for health

@@ -49,7 +49,7 @@ func (e *errTransport) Health(context.Context) (WorkerHealth, error) {
 func (e *errTransport) Addr() string { return e.name }
 
 // breakerAt builds a breaker over t with a controllable clock.
-func breakerAt(t *errTransport, clock *time.Time, cfg BreakerConfig) *Breaker {
+func breakerAt(t Transport, clock *time.Time, cfg BreakerConfig) *Breaker {
 	cfg.now = func() time.Time { return *clock }
 	if cfg.Seed == 0 {
 		cfg.Seed = 42
@@ -155,11 +155,8 @@ func TestBreakerReopensWithBackoff(t *testing.T) {
 // TestBreakerSpanRejectionIsSuccess: ErrSpan proves the worker is alive; a
 // run of stale-span rejections must not trip the breaker.
 func TestBreakerSpanRejectionIsSuccess(t *testing.T) {
-	tr := &errTransport{name: "w0"}
 	clock := time.Unix(0, 0)
-	b := breakerAt(tr, &clock, BreakerConfig{MinSamples: 2, Window: 4})
-	stale := &staleTransport{}
-	b.t = stale
+	b := breakerAt(&staleTransport{}, &clock, BreakerConfig{MinSamples: 2, Window: 4})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
 		if _, err := b.Vector(ctx, "c", VectorRequest{}); !errors.Is(err, ErrSpan) {

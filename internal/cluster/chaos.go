@@ -27,8 +27,8 @@ type ChaosConfig struct {
 	// fails as if the connection broke.
 	ErrorRate float64
 	// StaleRate injects span-staleness rejections (wrapping ErrSpan) on
-	// query RPCs, exercising the re-feed ladder. Assign/Drop are exempt —
-	// a feed cannot be "stale".
+	// query RPCs, exercising the re-feed ladder. Assign/Delta/Drop are
+	// exempt — a feed cannot be "stale".
 	StaleRate float64
 }
 
@@ -43,7 +43,7 @@ type ChaosConfig struct {
 // consumes worker capacity. All methods are safe for concurrent use;
 // condition switches apply to calls that start after the switch.
 type ChaosTransport struct {
-	t Transport
+	*guarded
 
 	mu  sync.Mutex
 	rng *mrand.Rand
@@ -62,7 +62,9 @@ func NewChaos(t Transport, cfg ChaosConfig) *ChaosTransport {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	return &ChaosTransport{t: t, rng: mrand.New(mrand.NewSource(cfg.Seed)), cfg: cfg}
+	c := &ChaosTransport{rng: mrand.New(mrand.NewSource(cfg.Seed)), cfg: cfg}
+	c.guarded = wrap(t, c.guard)
+	return c
 }
 
 // Partition switches the full-partition condition: when on, every call —
@@ -97,18 +99,26 @@ func (c *ChaosTransport) roll(query bool) (delay time.Duration, fail, stale bool
 	return delay, fail, stale
 }
 
-// fault applies the pre-call fault schedule; a non-nil error aborts the
-// call. query marks RPCs eligible for stale injection.
-func (c *ChaosTransport) fault(ctx context.Context, query bool) error {
+// guard applies the pre-call fault schedule; an injected fault aborts the
+// call before it reaches the worker. Health is subject to partitions and
+// blackholes (a probe cannot reach a partitioned worker) but exempt from the
+// random error/stale/latency mix, so readiness flaps only on whole-worker
+// conditions. Stale-span rejections are injected on query RPCs only.
+func (c *ChaosTransport) guard(ctx context.Context, op string, next func(context.Context) error) error {
 	if c.partitioned.Load() {
-		c.injectedErrors.Add(1)
-		return fmt.Errorf("%w: %s: partitioned", ErrChaos, c.t.Addr())
+		if op != "health" {
+			c.injectedErrors.Add(1)
+		}
+		return fmt.Errorf("%w: %s: partitioned", ErrChaos, c.Addr())
 	}
 	if c.blackholed.Load() {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	delay, fail, stale := c.roll(query)
+	if op == "health" {
+		return next(ctx)
+	}
+	delay, fail, stale := c.roll(op == "vector" || op == "union" || op == "stats" || op == "hist")
 	if delay > 0 {
 		c.injectedLatency.Add(1)
 		select {
@@ -119,69 +129,11 @@ func (c *ChaosTransport) fault(ctx context.Context, query bool) error {
 	}
 	if fail {
 		c.injectedErrors.Add(1)
-		return fmt.Errorf("%w: %s: injected error", ErrChaos, c.t.Addr())
+		return fmt.Errorf("%w: %s: injected error", ErrChaos, c.Addr())
 	}
 	if stale {
 		c.injectedStale.Add(1)
-		return fmt.Errorf("%w: %s: injected stale span", ErrSpan, c.t.Addr())
+		return fmt.Errorf("%w: %s: injected stale span", ErrSpan, c.Addr())
 	}
-	return nil
+	return next(ctx)
 }
-
-func (c *ChaosTransport) Assign(ctx context.Context, corpus string, req *AssignRequest) error {
-	if err := c.fault(ctx, false); err != nil {
-		return err
-	}
-	return c.t.Assign(ctx, corpus, req)
-}
-
-func (c *ChaosTransport) Drop(ctx context.Context, corpus string) error {
-	if err := c.fault(ctx, false); err != nil {
-		return err
-	}
-	return c.t.Drop(ctx, corpus)
-}
-
-func (c *ChaosTransport) Vector(ctx context.Context, corpus string, req VectorRequest) (VectorResponse, error) {
-	if err := c.fault(ctx, true); err != nil {
-		return VectorResponse{}, err
-	}
-	return c.t.Vector(ctx, corpus, req)
-}
-
-func (c *ChaosTransport) Union(ctx context.Context, corpus string, req UnionRequest) (VectorResponse, error) {
-	if err := c.fault(ctx, true); err != nil {
-		return VectorResponse{}, err
-	}
-	return c.t.Union(ctx, corpus, req)
-}
-
-func (c *ChaosTransport) Stats(ctx context.Context, corpus string, req StatsRequest) (StatsResponse, error) {
-	if err := c.fault(ctx, true); err != nil {
-		return StatsResponse{}, err
-	}
-	return c.t.Stats(ctx, corpus, req)
-}
-
-func (c *ChaosTransport) Hist(ctx context.Context, corpus string, req HistRequest) (HistResponse, error) {
-	if err := c.fault(ctx, true); err != nil {
-		return HistResponse{}, err
-	}
-	return c.t.Hist(ctx, corpus, req)
-}
-
-// Health is subject to partitions and blackholes (a probe cannot reach a
-// partitioned worker) but exempt from the random error/stale/latency mix,
-// so readiness flaps only on whole-worker conditions.
-func (c *ChaosTransport) Health(ctx context.Context) (WorkerHealth, error) {
-	if c.partitioned.Load() {
-		return WorkerHealth{}, fmt.Errorf("%w: %s: partitioned", ErrChaos, c.t.Addr())
-	}
-	if c.blackholed.Load() {
-		<-ctx.Done()
-		return WorkerHealth{}, ctx.Err()
-	}
-	return c.t.Health(ctx)
-}
-
-func (c *ChaosTransport) Addr() string { return c.t.Addr() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -402,4 +403,69 @@ func TestEvaluateContextCanceled(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("canceled evaluate still took %v", elapsed)
 	}
+}
+
+// TestChaosDeltaMatchesRebuild is the delta-differential harness over a
+// faulty fleet: delta chains applied through a 3-worker fleet with 10%
+// injected errors and stale-span rejections must match a from-scratch local
+// rebuild within 1e-9 on all five algorithms and Evaluate — and the chaos
+// transports must pass the delta feeds through rather than hide them.
+func TestChaosDeltaMatchesRebuild(t *testing.T) {
+	const consumers, items, seed = 150, 12, 6
+	before := runtime.NumGoroutine()
+	for _, strategy := range []bundling.Strategy{bundling.Pure, bundling.Mixed} {
+		opts := bundling.Options{Strategy: strategy, Theta: -0.1, StripeSize: 16}
+		_, base := fleet(3)
+		chaosT, _ := wrapChaos(base, ChaosConfig{Seed: 41, ErrorRate: 0.1, StaleRate: 0.1})
+		cs, err := NewSolver(testMatrix(t, consumers, items, seed), opts, Config{Workers: chaosT, RequestTimeout: 2 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var history [][]bundling.DeltaCell
+		var deltaFeeds int64
+		for round := 0; round < 3; round++ {
+			cells := clusterDelta(rng, consumers, items, 5+rng.Intn(10))
+			history = append(history, cells)
+			next, err := cs.ApplyDelta(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cs.Close()
+			cs = next
+			local, err := bundling.NewSolver(replayMatrix(t, consumers, items, seed, history), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("%v/round=%d", strategy, round)
+			for _, alg := range bundling.Algorithms() {
+				want, err := local.Solve(alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := cs.Solve(alg)
+				if err != nil {
+					t.Fatalf("%s %s: %v", label, alg.Name(), err)
+				}
+				sameConfig(t, label+"/"+alg.Name(), got, want)
+			}
+			want, err := local.Evaluate(evalOffers())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := cs.Evaluate(evalOffers())
+			if err != nil {
+				t.Fatalf("%s evaluate: %v", label, err)
+			}
+			sameConfig(t, label+"/evaluate", got, want)
+			deltaFeeds += cs.ClusterStats().DeltaFeeds
+		}
+		if deltaFeeds == 0 {
+			t.Fatalf("%v: no delta feed got through the chaos fleet", strategy)
+		}
+		if err := cs.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	assertNoGoroutineLeak(t, before)
 }

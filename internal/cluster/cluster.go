@@ -85,44 +85,7 @@ func NewSolver(w *bundling.Matrix, opts bundling.Options, cfg Config) (*Solver, 
 	if corpus == "" {
 		corpus = uniqueCorpus()
 	}
-	timeout := cfg.RequestTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	feedTimeout := cfg.FeedTimeout
-	if feedTimeout <= 0 {
-		feedTimeout = 60 * time.Second
-		if timeout > feedTimeout {
-			feedTimeout = timeout
-		}
-	}
-	feedBackoff := cfg.FeedBackoff
-	if feedBackoff <= 0 {
-		feedBackoff = 5 * time.Second
-	}
-	feedBackoffMax := cfg.FeedBackoffMax
-	if feedBackoffMax <= 0 {
-		feedBackoffMax = 2 * time.Minute
-	}
-	if feedBackoffMax < feedBackoff {
-		feedBackoffMax = feedBackoff
-	}
-	x := &executor{
-		corpus: corpus,
-		// The wire version is a session-unique nonce, not the matrix
-		// mutation counter: mutation counts of two different corpora can
-		// coincide (a counter only counts Sets), and under a caller-chosen
-		// Corpus key that coincidence would let a worker holding the old
-		// corpus's span pass the staleness check. A fresh nonce per
-		// coordinator session makes any cross-session aliasing impossible —
-		// at worst an identical re-feed.
-		version: snapshotNonce(),
-		workers: cfg.Workers,
-		timeout: timeout,
-		feedTO:  feedTimeout,
-		backoff: feedBackoff,
-		backMax: feedBackoffMax,
-	}
+	x := &executor{corpus: corpus, version: snapshotNonce(), workers: cfg.Workers, budget: cfg.budget()}
 	// Build the session first: singletons index from its local shard, so
 	// the executor is not consulted until it is wired below, and span
 	// extraction reads the session's own shard instead of building a
@@ -131,26 +94,7 @@ func NewSolver(w *bundling.Matrix, opts bundling.Options, cfg Config) (*Solver, 
 	if err != nil {
 		return nil, err
 	}
-	// The aggregate pricing protocol must bucket worker histograms on
-	// exactly the grid the session prices with; read it from the built
-	// session instead of re-deriving option defaults.
-	x.levels, x.alpha = inner.PricingGrid()
-	stripeSize := inner.Stats().StripeSize
-	for i, doc := range inner.Spans(len(cfg.Workers)) {
-		doc.Version = x.version // ship the session nonce as the span identity
-		sl := &spanSlot{
-			key:           fmt.Sprintf("%s/%d", corpus, doc.Start),
-			doc:           doc,
-			primary:       i % len(cfg.Workers),
-			feedFailUntil: make([]atomic.Int64, len(cfg.Workers)),
-			feedFails:     make([]atomic.Int32, len(cfg.Workers)),
-		}
-		sl.hi = doc.End * stripeSize
-		if sl.hi > w.Consumers() {
-			sl.hi = w.Consumers()
-		}
-		x.spans = append(x.spans, sl)
-	}
+	x.partition(inner)
 	// Feed every span to its primary up front, asynchronously under the
 	// feed budget (a span upload can dwarf a query RPC, but an unresponsive
 	// worker must not stall session creation for it — the eager feed is
@@ -159,13 +103,7 @@ func NewSolver(w *bundling.Matrix, opts bundling.Options, cfg Config) (*Solver, 
 	// and surfaces through the Ready probe). Close waits for these, so a
 	// released session cannot be resurrected by a straggling feed.
 	for _, sl := range x.spans {
-		x.feeding.Add(1)
-		go func(sl *spanSlot) {
-			defer x.feeding.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), x.feedTO)
-			defer cancel()
-			_ = x.workers[sl.primary].Assign(ctx, sl.key, &AssignRequest{Corpus: sl.key, Span: sl.doc})
-		}(sl)
+		x.goFeed(func(ctx context.Context) { _ = x.assign(ctx, sl.primary, sl) })
 	}
 	return &Solver{inner: inner, exec: x, opts: opts}, nil
 }
@@ -267,22 +205,10 @@ func Ready(workers []Transport, timeout time.Duration) func() error {
 		// timeout even when several workers are down, or orchestrator
 		// health checks time out and kill a coordinator that is still
 		// serving correctly via the local fallback.
-		downs := make([]bool, len(workers))
-		var wg sync.WaitGroup
-		for i, t := range workers {
-			wg.Add(1)
-			go func(i int, t Transport) {
-				defer wg.Done()
-				ctx, cancel := context.WithTimeout(context.Background(), timeout)
-				defer cancel()
-				_, err := t.Health(ctx)
-				downs[i] = err != nil
-			}(i, t)
-		}
-		wg.Wait()
+		_, errs := probe(context.Background(), workers, timeout)
 		var down []string
-		for i, d := range downs {
-			if d {
+		for i, err := range errs {
+			if err != nil {
 				down = append(down, workers[i].Addr())
 			}
 		}
@@ -343,10 +269,7 @@ type executor struct {
 	version uint64 // session snapshot nonce, presented on every RPC
 	workers []Transport
 	spans   []*spanSlot
-	timeout time.Duration
-	feedTO  time.Duration
-	backoff time.Duration // initial feed-failure suppression window
-	backMax time.Duration // cap on the exponential feed backoff
+	budget
 	alpha   float64
 	levels  int
 	feeding sync.WaitGroup // in-flight eager span feeds
@@ -359,6 +282,78 @@ type executor struct {
 	breakerSkips   atomic.Int64
 	deltaFeeds     atomic.Int64
 	deltaFallbacks atomic.Int64
+}
+
+// budget is a coordinator's RPC and feed timing, Config's fields with their
+// defaults applied; a session derived by ApplyDelta inherits its base's.
+type budget struct {
+	timeout time.Duration
+	feedTO  time.Duration
+	backoff time.Duration // initial feed-failure suppression window
+	backMax time.Duration // cap on the exponential feed backoff
+}
+
+// budget applies the documented defaults to the timing fields.
+func (c Config) budget() budget {
+	b := budget{timeout: c.RequestTimeout, feedTO: c.FeedTimeout, backoff: c.FeedBackoff, backMax: c.FeedBackoffMax}
+	if b.timeout <= 0 {
+		b.timeout = 10 * time.Second
+	}
+	if b.feedTO <= 0 {
+		b.feedTO = max(60*time.Second, b.timeout)
+	}
+	if b.backoff <= 0 {
+		b.backoff = 5 * time.Second
+	}
+	if b.backMax <= 0 {
+		b.backMax = 2 * time.Minute
+	}
+	b.backMax = max(b.backMax, b.backoff)
+	return b
+}
+
+// partition reads the pricing grid from the built session and cuts its
+// stripes into one span per worker, stamped with the executor's nonce. The
+// wire version is a session-unique nonce, not the matrix mutation counter:
+// mutation counts of two different corpora can coincide (a counter only
+// counts Sets), and under a caller-chosen Corpus key that coincidence would
+// let a worker holding the old corpus's span pass the staleness check. A
+// fresh nonce per coordinator session makes any cross-session aliasing
+// impossible — at worst an identical re-feed. The aggregate pricing
+// protocol must bucket worker histograms on exactly the grid the session
+// prices with, so the grid is read from the session rather than re-derived
+// from option defaults.
+func (x *executor) partition(inner *bundling.Solver) {
+	x.levels, x.alpha = inner.PricingGrid()
+	st := inner.Stats()
+	for i, doc := range inner.Spans(len(x.workers)) {
+		doc.Version = x.version
+		x.spans = append(x.spans, &spanSlot{
+			key:           fmt.Sprintf("%s/%d", x.corpus, doc.Start),
+			doc:           doc,
+			hi:            min(doc.End*st.StripeSize, st.Consumers),
+			primary:       i % len(x.workers),
+			feedFailUntil: make([]atomic.Int64, len(x.workers)),
+			feedFails:     make([]atomic.Int32, len(x.workers)),
+		})
+	}
+}
+
+// goFeed runs one best-effort span feed in the background under the feed
+// budget, tracked by the feeding group that Close and ApplyDelta wait on.
+func (x *executor) goFeed(feed func(ctx context.Context)) {
+	x.feeding.Add(1)
+	go func() {
+		defer x.feeding.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), x.feedTO)
+		defer cancel()
+		feed(ctx)
+	}()
+}
+
+// assign ships span sl whole to worker wi.
+func (x *executor) assign(ctx context.Context, wi int, sl *spanSlot) error {
+	return x.workers[wi].Assign(ctx, sl.key, &AssignRequest{Corpus: sl.key, Span: sl.doc})
 }
 
 // nextFeedBackoff computes the suppression window after the n-th (1-based)
@@ -458,7 +453,7 @@ func tryWorker[T any](x *executor, parent context.Context, sl *spanSlot, wi int,
 	fctx, fcancel := context.WithTimeout(sctx, x.feedTO)
 	fctx, fsp := obs.StartSpan(fctx, "feed")
 	fsp.Tag("worker", t.Addr())
-	aerr := t.Assign(fctx, sl.key, &AssignRequest{Corpus: sl.key, Span: sl.doc})
+	aerr := x.assign(fctx, wi, sl)
 	fsp.Tag("outcome", outcomeTag(aerr))
 	fsp.End()
 	fcancel()
@@ -504,13 +499,7 @@ func (x *executor) BundleVector(ctx context.Context, items []int, theta float64,
 				return VectorResponse{IDs: ids, Vals: vals}
 			})
 	})
-	dstIDs = dstIDs[:0]
-	dstVals = dstVals[:0]
-	for i := range parts {
-		dstIDs = append(dstIDs, parts[i].IDs...)
-		dstVals = append(dstVals, parts[i].Vals...)
-	}
-	return dstIDs, dstVals
+	return concat(parts, dstIDs, dstVals)
 }
 
 // UnionVectors implements config.StripeExecutor: the two cached vectors are
@@ -552,8 +541,13 @@ func (x *executor) UnionVectors(ctx context.Context, aIDs []int, aVals []float64
 				return VectorResponse{IDs: ids, Vals: vals}
 			})
 	})
-	dstIDs = dstIDs[:0]
-	dstVals = dstVals[:0]
+	return concat(parts, dstIDs, dstVals)
+}
+
+// concat gathers per-span vectors in stripe order into the reused
+// destination slices.
+func concat(parts []VectorResponse, dstIDs []int, dstVals []float64) ([]int, []float64) {
+	dstIDs, dstVals = dstIDs[:0], dstVals[:0]
 	for i := range parts {
 		dstIDs = append(dstIDs, parts[i].IDs...)
 		dstVals = append(dstVals, parts[i].Vals...)

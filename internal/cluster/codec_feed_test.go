@@ -1,22 +1,21 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"bundling"
-	"bundling/internal/codec"
 )
 
 // TestClusterBinaryFeedMatchesLocal is the wire-format acceptance gate: a
 // fleet fed over real HTTP — binary codec span bodies — must match the
 // single-machine Solver within 1e-9 for all five algorithms and the
 // evaluate path, and the feed must actually have gone binary (the
-// per-process FeedBytes counter grows on the bin side only).
+// per-process FeedBytes counter grows).
 func TestClusterBinaryFeedMatchesLocal(t *testing.T) {
 	w := testMatrix(t, 150, 12, 21)
 	wk0, wk1 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
@@ -29,7 +28,7 @@ func TestClusterBinaryFeedMatchesLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	binBefore, jsonBefore := FeedBytes()
+	binBefore := FeedBytes()
 	opts := bundling.Options{Strategy: bundling.Mixed, Theta: -0.1, StripeSize: 16}
 	local, err := bundling.NewSolver(w, opts)
 	if err != nil {
@@ -64,71 +63,13 @@ func TestClusterBinaryFeedMatchesLocal(t *testing.T) {
 	}
 	sameConfig(t, "bin-feed/evaluate", gotEval, wantEval)
 
-	binAfter, jsonAfter := FeedBytes()
-	if binAfter <= binBefore {
+	if binAfter := FeedBytes(); binAfter <= binBefore {
 		t.Fatalf("binary feed bytes did not grow: %d -> %d", binBefore, binAfter)
 	}
-	if jsonAfter != jsonBefore {
-		t.Fatalf("JSON feed bytes grew %d -> %d; the feed fell back", jsonBefore, jsonAfter)
-	}
 }
 
-// TestAssignJSONFallback pins the content negotiation: a worker that
-// predates the codec fails to JSON-decode the binary body and answers 400.
-// The transport must re-send that same span as JSON, succeed, and stick to
-// JSON for subsequent feeds (one failed probe per transport, not per feed).
-func TestAssignJSONFallback(t *testing.T) {
-	wk := NewWorker(WorkerConfig{})
-	var binHits, jsonHits atomic.Int64
-	// Emulate a pre-codec worker: any binary span body is rejected exactly
-	// the way the old JSON decoder did — 400 with a decode error.
-	legacy := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && strings.HasPrefix(r.URL.Path, "/v1/spans/") && !strings.Contains(r.URL.Path[len("/v1/spans/"):], "/") {
-			if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
-				binHits.Add(1)
-				w.Header().Set("Content-Type", "application/json")
-				w.WriteHeader(http.StatusBadRequest)
-				_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "decode assign: invalid character"})
-				return
-			}
-			jsonHits.Add(1)
-		}
-		wk.Handler().ServeHTTP(w, r)
-	})
-	ts := httptest.NewServer(legacy)
-	defer ts.Close()
-	tr := NewHTTP(ts.URL, nil)
-
-	w := testMatrix(t, 80, 6, 22)
-	doc := spanDocFor(w, 16)
-	ctx := t.Context()
-	jsonBefore, _ := func() (int64, int64) { b, j := FeedBytes(); return j, b }()
-	if err := tr.Assign(ctx, "demo", &AssignRequest{Corpus: "demo", Span: doc}); err != nil {
-		t.Fatalf("assign against legacy worker: %v", err)
-	}
-	if binHits.Load() != 1 || jsonHits.Load() != 1 {
-		t.Fatalf("first feed: %d binary probes, %d JSON feeds; want 1 and 1", binHits.Load(), jsonHits.Load())
-	}
-	// The worker really holds the span (fed via the JSON fallback).
-	if _, err := tr.Vector(ctx, "demo", VectorRequest{Version: doc.Version, Items: []int{0, 1}}); err != nil {
-		t.Fatalf("vector after fallback feed: %v", err)
-	}
-	// Second feed: the transport remembers and skips the binary probe.
-	if err := tr.Assign(ctx, "demo", &AssignRequest{Corpus: "demo", Span: doc}); err != nil {
-		t.Fatal(err)
-	}
-	if binHits.Load() != 1 || jsonHits.Load() != 2 {
-		t.Fatalf("second feed: %d binary probes, %d JSON feeds; want 1 and 2", binHits.Load(), jsonHits.Load())
-	}
-	_, jsonAfter := FeedBytes()
-	if jsonAfter <= jsonBefore {
-		t.Fatalf("JSON fallback feed bytes did not grow: %d -> %d", jsonBefore, jsonAfter)
-	}
-}
-
-// TestAssignBinaryRejectedOnRealError pins the negotiation's other edge: a
-// non-codec failure (e.g. 500) must surface, not silently downgrade the
-// transport to JSON forever.
+// TestAssignBinaryRejectedOnRealError: a worker-side failure (e.g. 500) on
+// a span feed surfaces to the caller.
 func TestAssignBinaryRejectedOnRealError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
@@ -142,7 +83,34 @@ func TestAssignBinaryRejectedOnRealError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "500") {
 		t.Fatalf("assign error = %v, want the 500 surfaced", err)
 	}
-	if tr.jsonAssign.Load() {
-		t.Fatal("a 500 must not downgrade the transport to JSON feeds")
+}
+
+// TestWorkerRejectsNonCodecFeeds: span and delta feeds travel only as codec
+// envelopes; a body in any other encoding is answered 415 and registers
+// nothing.
+func TestWorkerRejectsNonCodecFeeds(t *testing.T) {
+	wk := NewWorker(WorkerConfig{})
+	ts := httptest.NewServer(wk.Handler())
+	defer ts.Close()
+	span, err := json.Marshal(AssignRequest{Corpus: "demo", Span: spanDocFor(testMatrix(t, 40, 5, 24), 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := json.Marshal(DeltaRequest{BaseCorpus: "demo", FromVersion: 1, ToVersion: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for path, body := range map[string][]byte{"/v1/spans/demo": span, "/v1/spans/next/delta": delta} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnsupportedMediaType {
+			t.Errorf("JSON POST %s = %d, want 415", path, resp.StatusCode)
+		}
+	}
+	if spans := wk.Health().Spans; len(spans) != 0 {
+		t.Fatalf("JSON feeds registered spans: %+v", spans)
 	}
 }

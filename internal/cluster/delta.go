@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
-	"sync/atomic"
 
 	"bundling"
 	"bundling/internal/server"
@@ -25,40 +23,15 @@ import (
 // doc, so the fleet converges on the new snapshot regardless.
 func (s *Solver) ApplyDelta(cells []bundling.DeltaCell) (*Solver, error) {
 	x := s.exec
-	nx := &executor{
-		corpus:  uniqueCorpus(),
-		version: snapshotNonce(),
-		workers: x.workers,
-		timeout: x.timeout,
-		feedTO:  x.feedTO,
-		backoff: x.backoff,
-		backMax: x.backMax,
-	}
+	nx := &executor{corpus: uniqueCorpus(), version: snapshotNonce(), workers: x.workers, budget: x.budget}
 	inner, err := s.inner.ApplyDeltaOn(cells, nx)
 	if err != nil {
 		return nil, err
 	}
-	nx.levels, nx.alpha = inner.PricingGrid()
-	stripeSize := inner.Stats().StripeSize
-	consumers := inner.Stats().Consumers
+	nx.partition(inner)
 	baseByStart := make(map[int]*spanSlot, len(x.spans))
 	for _, sl := range x.spans {
 		baseByStart[sl.doc.Start] = sl
-	}
-	for i, doc := range inner.Spans(len(x.workers)) {
-		doc.Version = nx.version
-		sl := &spanSlot{
-			key:           fmt.Sprintf("%s/%d", nx.corpus, doc.Start),
-			doc:           doc,
-			primary:       i % len(nx.workers),
-			feedFailUntil: make([]atomic.Int64, len(nx.workers)),
-			feedFails:     make([]atomic.Int32, len(nx.workers)),
-		}
-		sl.hi = doc.End * stripeSize
-		if sl.hi > consumers {
-			sl.hi = consumers
-		}
-		nx.spans = append(nx.spans, sl)
 	}
 	// A delta rebases on the base session's resident spans, so let the base's
 	// eager feeds settle before sending any — racing one would bounce off
@@ -81,16 +54,11 @@ func (s *Solver) ApplyDelta(cells []bundling.DeltaCell) (*Solver, error) {
 			}
 		}
 		lo = sl.hi
-		nx.feeding.Add(1)
 		x.feeding.Add(1)
-		go func(sl *spanSlot, base *spanSlot, cut []bundling.DeltaCell) {
-			defer nx.feeding.Done()
+		nx.goFeed(func(ctx context.Context) {
 			defer x.feeding.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), nx.feedTO)
-			defer cancel()
-			t := nx.workers[sl.primary]
 			if base != nil && base.primary == sl.primary {
-				if dt, ok := t.(DeltaTransport); ok {
+				if dt, ok := nx.workers[sl.primary].(DeltaTransport); ok {
 					req := DeltaRequest{
 						BaseCorpus:  base.key,
 						FromVersion: x.version,
@@ -104,8 +72,8 @@ func (s *Solver) ApplyDelta(cells []bundling.DeltaCell) (*Solver, error) {
 				}
 			}
 			nx.deltaFallbacks.Add(1)
-			_ = t.Assign(ctx, sl.key, &AssignRequest{Corpus: sl.key, Span: sl.doc})
-		}(sl, base, cut)
+			_ = nx.assign(ctx, sl.primary, sl)
+		})
 	}
 	return &Solver{inner: inner, exec: nx, opts: s.opts}, nil
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 
@@ -45,52 +46,75 @@ func NewFleet(cfg FleetConfig) *Fleet {
 // transport implements it; in-process transports move no bytes).
 type byteser interface{ Bytes() TransportBytes }
 
+// probe runs Health on every transport concurrently, each under its own
+// timeout, so one call answers within one probe timeout even when several
+// workers are down.
+func probe(ctx context.Context, ts []Transport, timeout time.Duration) ([]WorkerHealth, []error) {
+	hs := make([]WorkerHealth, len(ts))
+	errs := make([]error, len(ts))
+	var wg sync.WaitGroup
+	for i, t := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			hs[i], errs[i] = t.Health(pctx)
+		}()
+	}
+	wg.Wait()
+	return hs, errs
+}
+
+// statusDoc renders one breaker's state for /healthz and /debug/fleet.
+func statusDoc(b *Breaker) server.WorkerStatusDoc {
+	s := b.Snapshot()
+	return server.WorkerStatusDoc{
+		Addr: s.Addr, State: s.State, FailureRate: s.FailureRate,
+		Trips: s.Trips, RetryInMs: s.RetryInMs,
+	}
+}
+
+// WorkerStatus reports every configured breaker's state — the /healthz
+// workers array (server.Config.WorkerStatus).
+func (f *Fleet) WorkerStatus() []server.WorkerStatusDoc {
+	docs := make([]server.WorkerStatusDoc, len(f.cfg.Breakers))
+	for i, b := range f.cfg.Breakers {
+		docs[i] = statusDoc(b)
+	}
+	return docs
+}
+
 // Report probes every worker concurrently and assembles the merged view.
 func (f *Fleet) Report(ctx context.Context) server.FleetResponse {
 	start := time.Now()
+	healths, errs := probe(ctx, f.cfg.Probes, f.cfg.Timeout)
 	docs := make([]server.FleetWorkerDoc, len(f.cfg.Probes))
-	var wg sync.WaitGroup
 	for i, t := range f.cfg.Probes {
-		wg.Add(1)
-		go func(i int, t Transport) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, f.cfg.Timeout)
-			defer cancel()
-			doc := server.FleetWorkerDoc{Addr: t.Addr(), Spans: []server.FleetSpanDoc{}}
-			health, err := t.Health(pctx)
-			if err != nil {
-				doc.Error = err.Error()
-			} else {
-				doc.Reachable = true
-				doc.Status = health.Status
-				doc.UptimeSeconds = health.UptimeSeconds
-				doc.StaleRejections = health.StaleRejections
-				doc.Ops = health.Ops
-				for _, sp := range health.Spans {
-					doc.Spans = append(doc.Spans, server.FleetSpanDoc{
-						Corpus:      sp.Corpus,
-						Version:     sp.Version,
-						StartStripe: sp.StartStripe,
-						EndStripe:   sp.EndStripe,
-						Entries:     sp.Entries,
-						Requests:    sp.Requests,
-					})
-				}
+		doc := server.FleetWorkerDoc{Addr: t.Addr(), Spans: []server.FleetSpanDoc{}}
+		if errs[i] != nil {
+			doc.Error = errs[i].Error()
+		} else {
+			health := healths[i]
+			doc.Reachable = true
+			doc.Status = health.Status
+			doc.UptimeSeconds = health.UptimeSeconds
+			doc.StaleRejections = health.StaleRejections
+			doc.Ops = health.Ops
+			for _, sp := range health.Spans {
+				doc.Spans = append(doc.Spans, server.FleetSpanDoc{
+					Corpus:      sp.Corpus,
+					Version:     sp.Version,
+					StartStripe: sp.StartStripe,
+					EndStripe:   sp.EndStripe,
+					Entries:     sp.Entries,
+					Requests:    sp.Requests,
+				})
 			}
-			docs[i] = doc
-		}(i, t)
-	}
-	wg.Wait()
-	for i := range docs {
+		}
 		if i < len(f.cfg.Breakers) && f.cfg.Breakers[i] != nil {
-			snap := f.cfg.Breakers[i].Snapshot()
-			docs[i].Breaker = &server.WorkerStatusDoc{
-				Addr:        snap.Addr,
-				State:       snap.State,
-				FailureRate: snap.FailureRate,
-				Trips:       snap.Trips,
-				RetryInMs:   snap.RetryInMs,
-			}
+			st := statusDoc(f.cfg.Breakers[i])
+			doc.Breaker = &st
 		}
 		if i < len(f.cfg.Loads) && f.cfg.Loads[i] != nil {
 			snap := f.cfg.Loads[i].Snapshot()
@@ -101,13 +125,13 @@ func (f *Fleet) Report(ctx context.Context) server.FleetResponse {
 				LatencyEWMAMs: snap.LatencyEWMAMs,
 				Ops:           snap.Ops,
 			}
-			if b, ok := f.cfg.Probes[i].(byteser); ok {
+			if b, ok := t.(byteser); ok {
 				tb := b.Bytes()
-				load.BytesOut, load.BytesIn = tb.BytesOut, tb.BytesIn
-				load.FeedBytesBin, load.FeedBytesJSON = tb.FeedBin, tb.FeedLegacy
+				load.BytesOut, load.BytesIn, load.FeedBytesBin = tb.BytesOut, tb.BytesIn, tb.FeedBin
 			}
-			docs[i].Load = load
+			doc.Load = load
 		}
+		docs[i] = doc
 	}
 	resp := server.FleetResponse{
 		Workers: docs,
@@ -121,36 +145,63 @@ func (f *Fleet) Report(ctx context.Context) server.FleetResponse {
 	return resp
 }
 
-// MetricRows renders the coordinator-side load state as /metrics rows —
-// the bundled_worker_* families cmd/bundled contributes via ExtraMetrics.
+// MetricRows renders the coordinator-side fleet state as /metrics rows — the
+// bundled_worker_* breaker and load families plus, for a fleet of HTTP
+// workers, the span-feed byte counter — which cmd/bundled contributes via
+// server.Config.ExtraMetrics. Rows sharing a metric name are adjacent: the
+// renderer emits one HELP/TYPE header per consecutive name run.
 func (f *Fleet) MetricRows() ([]server.GaugeRow, []server.CounterRow) {
-	var gauges []server.GaugeRow
-	var counters []server.CounterRow
-	snaps := make([]LoadSnapshot, 0, len(f.cfg.Loads))
+	bs := make([]BreakerSnapshot, len(f.cfg.Breakers))
+	for i, b := range f.cfg.Breakers {
+		bs[i] = b.Snapshot()
+	}
+	var ls []LoadSnapshot
 	for _, ld := range f.cfg.Loads {
 		if ld != nil {
-			snaps = append(snaps, ld.Snapshot())
+			ls = append(ls, ld.Snapshot())
 		}
 	}
-	counter := func(suffix, help string, val func(LoadSnapshot) int64) {
-		for _, s := range snaps {
-			counters = append(counters, server.CounterRow{
-				Name: "bundled_worker" + suffix, Help: help,
-				Labels: `worker="` + s.Addr + `"`, Value: val(s),
-			})
+	var gauges []server.GaugeRow
+	var counters []server.CounterRow
+	gauge := func(name, help, addr string, v float64) {
+		gauges = append(gauges, server.GaugeRow{Name: name, Help: help, Labels: fmt.Sprintf("worker=%q", addr), Value: v})
+	}
+	counter := func(name, help, addr string, v int64) {
+		counters = append(counters, server.CounterRow{Name: name, Help: help, Labels: fmt.Sprintf("worker=%q", addr), Value: v})
+	}
+	for _, s := range bs {
+		open := 0.0
+		if s.State != "closed" {
+			open = 1
+		}
+		gauge("bundled_worker_breaker_open", "1 while the worker's circuit breaker is open or probing, 0 when closed.", s.Addr, open)
+	}
+	for _, s := range bs {
+		gauge("bundled_worker_breaker_failure_rate", "Failure fraction in the worker's breaker window.", s.Addr, s.FailureRate)
+	}
+	for _, s := range ls {
+		gauge("bundled_worker_rpc_latency_ewma_ms", "EWMA of successful RPC latency per worker (milliseconds).", s.Addr, s.LatencyEWMAMs)
+	}
+	for _, s := range bs {
+		counter("bundled_worker_breaker_trips_total", "Times the worker's circuit breaker opened.", s.Addr, s.Trips)
+	}
+	for _, s := range bs {
+		counter("bundled_worker_breaker_rejected_total", "Calls rejected without dialing by the worker's open breaker.", s.Addr, s.Rejected)
+	}
+	for _, t := range f.cfg.Probes {
+		if _, ok := t.(byteser); ok {
+			counters = append(counters, server.CounterRow{Name: "bundled_feed_bytes_total", Help: "Span-feed payload bytes shipped to workers, by codec.", Labels: `codec="bin"`, Value: FeedBytes()})
+			break
 		}
 	}
-	counter("_rpcs_total", "Coordinator RPCs issued per worker.",
-		func(s LoadSnapshot) int64 { return s.RPCs })
-	counter("_rpc_errors_total", "Coordinator RPCs that failed per worker (breaker rejections excluded).",
-		func(s LoadSnapshot) int64 { return s.Errors })
-	counter("_breaker_skips_total", "Coordinator RPCs rejected by an open circuit breaker per worker.",
-		func(s LoadSnapshot) int64 { return s.BreakerSkips })
-	for _, s := range snaps {
-		gauges = append(gauges, server.GaugeRow{
-			Name: "bundled_worker_rpc_latency_ewma_ms", Help: "EWMA of successful RPC latency per worker (milliseconds).",
-			Labels: `worker="` + s.Addr + `"`, Value: s.LatencyEWMAMs,
-		})
+	for _, s := range ls {
+		counter("bundled_worker_rpcs_total", "Coordinator RPCs issued per worker.", s.Addr, s.RPCs)
+	}
+	for _, s := range ls {
+		counter("bundled_worker_rpc_errors_total", "Coordinator RPCs that failed per worker (breaker rejections excluded).", s.Addr, s.Errors)
+	}
+	for _, s := range ls {
+		counter("bundled_worker_breaker_skips_total", "Coordinator RPCs rejected by an open circuit breaker per worker.", s.Addr, s.BreakerSkips)
 	}
 	return gauges, counters
 }

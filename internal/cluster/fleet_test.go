@@ -137,3 +137,44 @@ func TestFleetMetricRows(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetMetricRowsDaemonWiring: over HTTP workers wrapped the way
+// cmd/bundled wraps them, the rows come out family by family in the
+// daemon's exposition order — breaker gauges, then load gauges; breaker
+// counters, the span-feed byte counter, then load counters — and
+// WorkerStatus reports one breaker per worker.
+func TestFleetMetricRowsDaemonWiring(t *testing.T) {
+	raw := []Transport{NewHTTP("127.0.0.1:1", nil), NewHTTP("127.0.0.1:2", nil)}
+	wrapped, breakers := WrapBreakers(raw, BreakerConfig{})
+	_, loads := WrapLoad(wrapped)
+	fl := NewFleet(FleetConfig{Probes: raw, Breakers: breakers, Loads: loads})
+	gauges, counters := fl.MetricRows()
+	var names []string
+	for _, g := range gauges {
+		names = append(names, g.Name)
+	}
+	for _, c := range counters {
+		names = append(names, c.Name)
+	}
+	want := []string{
+		"bundled_worker_breaker_open", "bundled_worker_breaker_open",
+		"bundled_worker_breaker_failure_rate", "bundled_worker_breaker_failure_rate",
+		"bundled_worker_rpc_latency_ewma_ms", "bundled_worker_rpc_latency_ewma_ms",
+		"bundled_worker_breaker_trips_total", "bundled_worker_breaker_trips_total",
+		"bundled_worker_breaker_rejected_total", "bundled_worker_breaker_rejected_total",
+		"bundled_feed_bytes_total",
+		"bundled_worker_rpcs_total", "bundled_worker_rpcs_total",
+		"bundled_worker_rpc_errors_total", "bundled_worker_rpc_errors_total",
+		"bundled_worker_breaker_skips_total", "bundled_worker_breaker_skips_total",
+	}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("row order:\n got %v\nwant %v", names, want)
+	}
+	if gauges[0].Labels != `worker="http://127.0.0.1:1"` || counters[4].Labels != `codec="bin"` {
+		t.Fatalf("labels: %q, %q", gauges[0].Labels, counters[4].Labels)
+	}
+	st := fl.WorkerStatus()
+	if len(st) != 2 || st[1].Addr != "http://127.0.0.1:2" || st[1].State != "closed" {
+		t.Fatalf("worker status: %+v", st)
+	}
+}

@@ -103,10 +103,12 @@ func (l *WorkerLoad) Snapshot() LoadSnapshot {
 	return s
 }
 
-// loadTransport wraps a Transport, timing every RPC into a WorkerLoad.
-type loadTransport struct {
-	t  Transport
-	ld *WorkerLoad
+// guard times one RPC into the load view under its op name.
+func (l *WorkerLoad) guard(ctx context.Context, op string, next func(context.Context) error) error {
+	start := time.Now()
+	err := next(ctx)
+	l.record(op, time.Since(start), err)
+	return err
 }
 
 // WrapLoad wraps each transport with a load recorder, returning the wrapped
@@ -118,69 +120,7 @@ func WrapLoad(ts []Transport) ([]Transport, []*WorkerLoad) {
 	loads := make([]*WorkerLoad, len(ts))
 	for i, t := range ts {
 		loads[i] = &WorkerLoad{addr: t.Addr(), ops: map[string]int64{}}
-		out[i] = &loadTransport{t: t, ld: loads[i]}
+		out[i] = wrap(t, loads[i].guard)
 	}
 	return out, loads
 }
-
-func (lt *loadTransport) Assign(ctx context.Context, corpus string, req *AssignRequest) error {
-	start := time.Now()
-	err := lt.t.Assign(ctx, corpus, req)
-	lt.ld.record("assign", time.Since(start), err)
-	return err
-}
-
-func (lt *loadTransport) Delta(ctx context.Context, corpus string, req DeltaRequest) error {
-	dt, ok := lt.t.(DeltaTransport)
-	if !ok {
-		return errDeltaUnsupported
-	}
-	start := time.Now()
-	err := dt.Delta(ctx, corpus, req)
-	lt.ld.record("delta", time.Since(start), err)
-	return err
-}
-
-func (lt *loadTransport) Drop(ctx context.Context, corpus string) error {
-	start := time.Now()
-	err := lt.t.Drop(ctx, corpus)
-	lt.ld.record("drop", time.Since(start), err)
-	return err
-}
-
-func (lt *loadTransport) Vector(ctx context.Context, corpus string, req VectorRequest) (VectorResponse, error) {
-	start := time.Now()
-	resp, err := lt.t.Vector(ctx, corpus, req)
-	lt.ld.record("vector", time.Since(start), err)
-	return resp, err
-}
-
-func (lt *loadTransport) Union(ctx context.Context, corpus string, req UnionRequest) (VectorResponse, error) {
-	start := time.Now()
-	resp, err := lt.t.Union(ctx, corpus, req)
-	lt.ld.record("union", time.Since(start), err)
-	return resp, err
-}
-
-func (lt *loadTransport) Stats(ctx context.Context, corpus string, req StatsRequest) (StatsResponse, error) {
-	start := time.Now()
-	resp, err := lt.t.Stats(ctx, corpus, req)
-	lt.ld.record("stats", time.Since(start), err)
-	return resp, err
-}
-
-func (lt *loadTransport) Hist(ctx context.Context, corpus string, req HistRequest) (HistResponse, error) {
-	start := time.Now()
-	resp, err := lt.t.Hist(ctx, corpus, req)
-	lt.ld.record("hist", time.Since(start), err)
-	return resp, err
-}
-
-func (lt *loadTransport) Health(ctx context.Context) (WorkerHealth, error) {
-	start := time.Now()
-	resp, err := lt.t.Health(ctx)
-	lt.ld.record("health", time.Since(start), err)
-	return resp, err
-}
-
-func (lt *loadTransport) Addr() string { return lt.t.Addr() }

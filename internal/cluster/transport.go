@@ -18,17 +18,14 @@ import (
 	"bundling/internal/obs"
 )
 
-// feedBytesBin and feedBytesJSON count span-feed request-body bytes shipped
-// by HTTP transports, by codec — the process-wide source of the
-// bundled_feed_bytes_total{codec=...} metric. Local transports bypass
-// serialization and count nothing.
-var feedBytesBin, feedBytesJSON atomic.Int64
+// feedBytes counts span-feed request-body bytes shipped by HTTP transports
+// — the process-wide source of the bundled_feed_bytes_total{codec="bin"}
+// metric. Local transports bypass serialization and count nothing.
+var feedBytes atomic.Int64
 
 // FeedBytes reports the cumulative span-feed bytes shipped over HTTP
-// transports, per codec.
-func FeedBytes() (bin, legacyJSON int64) {
-	return feedBytesBin.Load(), feedBytesJSON.Load()
-}
+// transports.
+func FeedBytes() int64 { return feedBytes.Load() }
 
 // Transport is one worker as the coordinator sees it. Two implementations
 // exist: Local wraps an in-process *Worker with direct method calls — the
@@ -57,8 +54,8 @@ type DeltaTransport interface {
 	Delta(ctx context.Context, corpus string, req DeltaRequest) error
 }
 
-// errDeltaUnsupported is what a wrapper transport answers when the transport
-// it wraps has no delta support; the coordinator treats it like any other
+// errDeltaUnsupported is what a guarded transport answers when its raw
+// transport has no delta support; the coordinator treats it like any other
 // delta failure and ships the full span.
 var errDeltaUnsupported = errors.New("cluster: wrapped transport does not support span deltas")
 
@@ -112,37 +109,31 @@ func (l *Local) Addr() string {
 	return "inproc"
 }
 
-// HTTP speaks the bundleworker API at a base URL: binary codec span feeds
-// (falling back to JSON against a worker that predates the codec) and JSON
-// for everything else.
+// HTTP speaks the bundleworker API at a base URL: binary codec span and
+// delta feeds, JSON for everything else.
 type HTTP struct {
 	base string
 	hc   *http.Client
-	// jsonAssign sticks after a worker rejects a binary feed: a fleet mixing
-	// pre-codec workers pays the one failed probe per transport, not per feed.
-	jsonAssign atomic.Bool
 	// Per-worker wire accounting: request/response body bytes across all
-	// RPCs, plus span-feed bytes split by codec (the fleet view's
-	// bytes-by-codec column; the package-level FeedBytes counters stay the
-	// process-wide /metrics source).
-	bytesOut, bytesIn   atomic.Int64
-	feedBin, feedLegacy atomic.Int64
+	// RPCs, plus span-feed bytes (the fleet view's feed column; the
+	// package-level FeedBytes counter stays the process-wide /metrics
+	// source).
+	bytesOut, bytesIn, feedBin atomic.Int64
 }
 
 // TransportBytes is one HTTP transport's cumulative wire traffic.
 type TransportBytes struct {
-	BytesOut, BytesIn   int64 // request payloads sent / response bodies read
-	FeedBin, FeedLegacy int64 // span-feed payload bytes by codec (binary / JSON)
+	BytesOut, BytesIn int64 // request payloads sent / response bodies read
+	FeedBin           int64 // span-feed payload bytes (binary codec)
 }
 
 // Bytes reports this transport's cumulative wire traffic. Local transports
 // move no bytes and do not implement it.
 func (h *HTTP) Bytes() TransportBytes {
 	return TransportBytes{
-		BytesOut:   h.bytesOut.Load(),
-		BytesIn:    h.bytesIn.Load(),
-		FeedBin:    h.feedBin.Load(),
-		FeedLegacy: h.feedLegacy.Load(),
+		BytesOut: h.bytesOut.Load(),
+		BytesIn:  h.bytesIn.Load(),
+		FeedBin:  h.feedBin.Load(),
 	}
 }
 
@@ -185,18 +176,6 @@ func NewHTTP(baseURL string, httpClient *http.Client) *HTTP {
 }
 
 func (h *HTTP) Addr() string { return h.base }
-
-// statusError is a non-2xx worker reply that is not a span rejection; the
-// status code stays inspectable for content negotiation.
-type statusError struct {
-	addr string
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string {
-	return fmt.Sprintf("cluster: %s: %d: %s", e.addr, e.code, e.msg)
-}
 
 // do issues one JSON request. 409 maps to ErrSpan (re-feed and retry); other
 // non-2xx statuses surface as errors.
@@ -249,7 +228,7 @@ func (h *HTTP) doBytes(ctx context.Context, method, path, contentType string, pa
 			// re-feed ladder on every call.
 			return fmt.Errorf("%w: %s: %s", ErrSpan, h.base, msg)
 		}
-		return &statusError{addr: h.base, code: resp.StatusCode, msg: msg}
+		return fmt.Errorf("cluster: %s: %d: %s", h.base, resp.StatusCode, msg)
 	}
 	if out == nil {
 		// Drain so net/http can reuse the connection for the next RPC.
@@ -267,50 +246,24 @@ func (h *HTTP) spanPath(corpus, op string) string {
 	return p
 }
 
-// Assign feeds a span, binary codec first: on realistic corpora the codec
-// body is well under half the JSON bytes, and the feed is the fattest RPC
-// the cluster sends. A worker that rejects the binary body (400/415 — it
-// predates the codec) gets the same span re-sent as JSON, and the transport
-// sticks to JSON from then on.
+// Assign feeds a span as a binary codec envelope — the fattest RPC the
+// cluster sends, at well under half its JSON size on realistic corpora.
 func (h *HTTP) Assign(ctx context.Context, corpus string, req *AssignRequest) error {
-	path := h.spanPath(corpus, "")
-	if !h.jsonAssign.Load() {
-		_, esp := obs.StartSpan(ctx, "feed_encode")
-		body := codec.EncodeAssign(corpus, req.Span)
-		esp.Tag("codec", "binary")
-		esp.Tag("bytes", len(body))
-		esp.End()
-		err := h.doBytes(ctx, http.MethodPost, path, codec.ContentType, body, nil)
-		if err == nil {
-			feedBytesBin.Add(int64(len(body)))
-			h.feedBin.Add(int64(len(body)))
-			return nil
-		}
-		var se *statusError
-		if !errors.As(err, &se) || (se.code != http.StatusBadRequest && se.code != http.StatusUnsupportedMediaType) {
-			return err // network fault or a worker-side failure, not a codec rejection
-		}
-	}
 	_, esp := obs.StartSpan(ctx, "feed_encode")
-	buf, err := json.Marshal(req)
-	esp.Tag("codec", "json")
-	esp.Tag("bytes", len(buf))
+	body := codec.EncodeAssign(corpus, req.Span)
+	esp.Tag("codec", "binary")
+	esp.Tag("bytes", len(body))
 	esp.End()
-	if err != nil {
+	if err := h.doBytes(ctx, http.MethodPost, h.spanPath(corpus, ""), codec.ContentType, body, nil); err != nil {
 		return err
 	}
-	if err := h.doBytes(ctx, http.MethodPost, path, "application/json", buf, nil); err != nil {
-		return err
-	}
-	feedBytesJSON.Add(int64(len(buf)))
-	h.feedLegacy.Add(int64(len(buf)))
-	h.jsonAssign.Store(true)
+	feedBytes.Add(int64(len(body)))
+	h.feedBin.Add(int64(len(body)))
 	return nil
 }
 
-// Delta ships a span rebase as a binary codec delta envelope — the payload
-// is a few cells, so there is no JSON fallback to negotiate: a worker that
-// cannot decode it answers an error and the coordinator full-feeds instead.
+// Delta ships a span rebase as a binary codec delta envelope; a worker that
+// cannot apply it answers an error and the coordinator full-feeds instead.
 func (h *HTTP) Delta(ctx context.Context, corpus string, req DeltaRequest) error {
 	d := codec.DeltaFromCells(req.BaseCorpus, 0, req.Cells)
 	d.FromVersion = req.FromVersion

@@ -4,11 +4,10 @@
 //
 // The unit of distribution is the stripe span (wtp.SpanDoc): a contiguous
 // range of the corpus shard's stripes, shipped to the bundleworker daemon
-// that owns it — as a binary codec envelope by default (internal/codec;
-// roughly a third of the JSON bytes), negotiated via Content-Type so workers
-// keep accepting the legacy JSON feed too. Workers serve three per-span reductions — bundle vectors,
-// cached-vector unions, and pricing aggregates (max + histogram) — with the
-// exact per-stripe kernels the single-machine shard uses, so per-span
+// that owns it as a binary codec envelope (internal/codec; roughly a third
+// of the JSON bytes). Workers serve three per-span reductions — bundle
+// vectors, cached-vector unions, and pricing aggregates (max + histogram) —
+// with the exact per-stripe kernels the single-machine shard uses, so per-span
 // results concatenated (or summed) in stripe order reproduce the local
 // Solver's arithmetic.
 //

@@ -100,10 +100,10 @@ func NewWorker(cfg WorkerConfig) *Worker {
 	mux.HandleFunc("POST /v1/spans/{corpus}", wk.handleAssign)
 	mux.HandleFunc("POST /v1/spans/{corpus}/delta", wk.handleDelta)
 	mux.HandleFunc("DELETE /v1/spans/{corpus}", wk.handleDrop)
-	mux.HandleFunc("POST /v1/spans/{corpus}/vector", wk.handleVector)
-	mux.HandleFunc("POST /v1/spans/{corpus}/union", wk.handleUnion)
-	mux.HandleFunc("POST /v1/spans/{corpus}/stats", wk.handleStats)
-	mux.HandleFunc("POST /v1/spans/{corpus}/hist", wk.handleHist)
+	mux.HandleFunc("POST /v1/spans/{corpus}/vector", serveQuery(wk, "vector", wk.Vector))
+	mux.HandleFunc("POST /v1/spans/{corpus}/union", serveQuery(wk, "union", wk.Union))
+	mux.HandleFunc("POST /v1/spans/{corpus}/stats", serveQuery(wk, "stats", wk.Stats))
+	mux.HandleFunc("POST /v1/spans/{corpus}/hist", serveQuery(wk, "hist", wk.Hist))
 	mux.HandleFunc("GET /healthz", wk.handleHealth)
 	mux.HandleFunc("GET /metrics", wk.handleMetrics)
 	mux.HandleFunc("GET /debug/traces", wk.handleTraces)
@@ -360,29 +360,33 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, limit int64) erro
 	return dec.Decode(v)
 }
 
-// handleAssign accepts a span feed in either encoding — the binary codec
-// envelope (Content-Type negotiation; what current coordinators send) or the
-// legacy JSON AssignRequest — so a mixed-version fleet keeps feeding.
+// readCodec reads a bounded binary codec request body. A body in any other
+// encoding is answered 415 and nil is returned.
+func (wk *Worker) readCodec(w http.ResponseWriter, r *http.Request, limit int64) []byte {
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
+		wk.met.CountError()
+		writeJSON(w, http.StatusUnsupportedMediaType, ErrorResponse{Error: "want Content-Type " + codec.ContentType})
+		return nil
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	if err != nil {
+		wk.failErr(w, fmt.Errorf("read body: %w", err))
+		return nil
+	}
+	return body
+}
+
+// handleAssign accepts a span feed as a binary codec assign envelope.
 func (wk *Worker) handleAssign(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var span *wtp.SpanDoc
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, codec.ContentType) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wk.cfg.MaxAssignBytes))
-		if err != nil {
-			wk.failErr(w, fmt.Errorf("decode span: %w", err))
-			return
-		}
-		if _, span, err = codec.DecodeAssign(body); err != nil {
-			wk.failErr(w, fmt.Errorf("decode span: %w", err))
-			return
-		}
-	} else {
-		var req AssignRequest
-		if err := decodeBody(w, r, &req, wk.cfg.MaxAssignBytes); err != nil {
-			wk.failErr(w, fmt.Errorf("decode span: %w", err))
-			return
-		}
-		span = req.Span
+	body := wk.readCodec(w, r, wk.cfg.MaxAssignBytes)
+	if body == nil {
+		return
+	}
+	_, span, err := codec.DecodeAssign(body)
+	if err != nil {
+		wk.failErr(w, fmt.Errorf("decode span: %w", err))
+		return
 	}
 	if span == nil {
 		wk.failErr(w, fmt.Errorf("cluster: assign request carries no span"))
@@ -400,30 +404,20 @@ func (wk *Worker) handleAssign(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleDelta accepts a span-delta feed in either encoding — the binary
-// codec delta envelope (what current coordinators send; the envelope's
-// interned ID carries the base corpus key) or its JSON DeltaRequest form —
-// mirroring handleAssign's negotiation.
+// handleDelta accepts a span-delta feed as a binary codec delta envelope;
+// the envelope's interned ID carries the base corpus key.
 func (wk *Worker) handleDelta(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req DeltaRequest
-	if ct := r.Header.Get("Content-Type"); strings.HasPrefix(ct, codec.ContentType) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, wk.cfg.MaxRequestBytes))
-		if err != nil {
-			wk.failErr(w, fmt.Errorf("decode delta: %w", err))
-			return
-		}
-		d, err := codec.DecodeDelta(body)
-		if err != nil {
-			wk.failErr(w, fmt.Errorf("decode delta: %w", err))
-			return
-		}
-		req = DeltaRequest{BaseCorpus: d.ID, FromVersion: d.FromVersion, ToVersion: d.ToVersion, Cells: d.Cells()}
-	} else if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
+	body := wk.readCodec(w, r, wk.cfg.MaxRequestBytes)
+	if body == nil {
+		return
+	}
+	d, err := codec.DecodeDelta(body)
+	if err != nil {
 		wk.failErr(w, fmt.Errorf("decode delta: %w", err))
 		return
 	}
-	err := wk.Delta(r.PathValue("corpus"), req)
+	err = wk.Delta(r.PathValue("corpus"), DeltaRequest{BaseCorpus: d.ID, FromVersion: d.FromVersion, ToVersion: d.ToVersion, Cells: d.Cells()})
 	wk.recordRemote(r, "delta", r.PathValue("corpus"), start, err)
 	if err != nil {
 		wk.failErr(w, err)
@@ -440,68 +434,25 @@ func (wk *Worker) handleDrop(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-func (wk *Worker) handleVector(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req VectorRequest
-	if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
-		wk.failErr(w, fmt.Errorf("decode request: %w", err))
-		return
+// serveQuery is the HTTP form of one per-span reduction: strictly decode the
+// JSON request, run it against the path's corpus, record the worker side of
+// the trace, and answer the JSON result.
+func serveQuery[Req, Resp any](wk *Worker, op string, run func(corpus string, req Req) (Resp, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		var req Req
+		if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
+			wk.failErr(w, fmt.Errorf("decode request: %w", err))
+			return
+		}
+		resp, err := run(r.PathValue("corpus"), req)
+		wk.recordRemote(r, op, r.PathValue("corpus"), start, err)
+		if err != nil {
+			wk.failErr(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	resp, err := wk.Vector(r.PathValue("corpus"), req)
-	wk.recordRemote(r, "vector", r.PathValue("corpus"), start, err)
-	if err != nil {
-		wk.failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (wk *Worker) handleUnion(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req UnionRequest
-	if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
-		wk.failErr(w, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	resp, err := wk.Union(r.PathValue("corpus"), req)
-	wk.recordRemote(r, "union", r.PathValue("corpus"), start, err)
-	if err != nil {
-		wk.failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (wk *Worker) handleStats(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req StatsRequest
-	if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
-		wk.failErr(w, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	resp, err := wk.Stats(r.PathValue("corpus"), req)
-	wk.recordRemote(r, "stats", r.PathValue("corpus"), start, err)
-	if err != nil {
-		wk.failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (wk *Worker) handleHist(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	var req HistRequest
-	if err := decodeBody(w, r, &req, wk.cfg.MaxRequestBytes); err != nil {
-		wk.failErr(w, fmt.Errorf("decode request: %w", err))
-		return
-	}
-	resp, err := wk.Hist(r.PathValue("corpus"), req)
-	wk.recordRemote(r, "hist", r.PathValue("corpus"), start, err)
-	if err != nil {
-		wk.failErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (wk *Worker) handleHealth(w http.ResponseWriter, r *http.Request) {

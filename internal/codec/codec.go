@@ -8,9 +8,8 @@
 //   - MatrixData — the corpus upload body and the "bin" input of
 //     bundling.DecodeMatrix (a columnar MatrixDoc);
 //   - wtp.SpanDoc — the coordinator→worker span feed of the cluster
-//     subsystem (negotiated via Content-Type; workers accept JSON too);
-//   - Record — the persisted corpus snapshot of the serving store
-//     (written binary, read alongside legacy JSON records).
+//     subsystem (the only encoding workers accept for it);
+//   - Record — the persisted corpus snapshot of the serving store.
 //
 // Sorted ID columns delta-encode to mostly single-byte varints and float
 // columns ship as raw 8-byte IEEE 754, so a paper-scale corpus or span feed

@@ -273,8 +273,8 @@ type UsageResponse struct {
 
 // WorkerLoadDoc is the coordinator's locally observed load on one worker:
 // RPC volume and outcome mix across every session, a latency EWMA over the
-// worker's successful calls, and — for HTTP workers — wire bytes split by
-// span-feed codec.
+// worker's successful calls, and — for HTTP workers — wire bytes, with the
+// binary span-feed share.
 type WorkerLoadDoc struct {
 	RPCs          int64            `json:"rpcs"`
 	Errors        int64            `json:"errors"`
@@ -284,7 +284,6 @@ type WorkerLoadDoc struct {
 	BytesOut      int64            `json:"bytes_out,omitempty"`
 	BytesIn       int64            `json:"bytes_in,omitempty"`
 	FeedBytesBin  int64            `json:"feed_bytes_binary,omitempty"`
-	FeedBytesJSON int64            `json:"feed_bytes_json,omitempty"`
 }
 
 // FleetSpanDoc is one stripe span resident on a worker, as the worker's

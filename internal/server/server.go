@@ -306,14 +306,13 @@ func (s *Server) recoverer(next http.Handler) http.Handler {
 // corpus always has. A cluster-backed daemon therefore feeds worker spans on
 // first touch — each lazily restored session draws a new span nonce, so
 // stale pre-restart spans on the fleet can never satisfy its version
-// checks. Manifests written before listing metadata existed get a targeted
-// backfill that reads only the affected records.
+// checks.
 func (s *Server) Restore() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
 	}
 	s.reg.seedVersions(s.cfg.Store.Generations())
-	return s.cfg.Store.Bootstrap()
+	return s.cfg.Store.Len(), nil
 }
 
 // Close releases every session (including any remote state a cluster
@@ -536,19 +535,9 @@ func (s *Server) failAdmit(w http.ResponseWriter, err error) {
 // the ID is still free — a concurrent upload that installed a newer
 // session meanwhile must not be stomped with stale disk state.
 func (s *Server) recoverFromStore(id string) {
-	rec, ok := s.cfg.Store.LiveRecord(id)
-	if !ok {
-		return
+	if rec, ok := s.cfg.Store.LiveRecord(id); ok {
+		_, _ = s.installRecord(rec)
 	}
-	opts, err := rec.Options.options()
-	if err != nil {
-		return
-	}
-	matrix, err := rec.Matrix.Matrix()
-	if err != nil {
-		return
-	}
-	_, _ = s.registerIfAbsent(rec.ID, rec.Tenant, matrix, opts, rec.Generation, rec.CreatedAt)
 }
 
 // register indexes a corpus and installs its session (replacing any session
@@ -559,18 +548,21 @@ func (s *Server) register(id, tenant string, matrix *bundling.Matrix, opts bundl
 	return s.registerWith(id, tenant, matrix, opts, 0, time.Time{}, enforce, false)
 }
 
-// registerAt installs a session at an explicit upload generation and
-// creation time — the restart-restore path, replaying state the store
-// already admitted.
-func (s *Server) registerAt(id, tenant string, matrix *bundling.Matrix, opts bundling.Options, version int, createdAt time.Time) (*session, error) {
-	return s.registerWith(id, tenant, matrix, opts, version, createdAt, false, false)
-}
-
-// registerIfAbsent is registerAt for the lazy-reload and persist-recovery
-// paths: it fails with errAlreadyInstalled instead of replacing a session a
-// concurrent upload installed meanwhile.
-func (s *Server) registerIfAbsent(id, tenant string, matrix *bundling.Matrix, opts bundling.Options, version int, createdAt time.Time) (*session, error) {
-	return s.registerWith(id, tenant, matrix, opts, version, createdAt, false, true)
+// installRecord re-indexes a persisted record into a session at the
+// record's generation, owner and creation time — the lazy-reload and
+// persist-recovery paths, replaying state the store already admitted. It
+// fails with errAlreadyInstalled instead of replacing a session a concurrent
+// upload installed meanwhile.
+func (s *Server) installRecord(rec CorpusRecord) (*session, error) {
+	opts, err := rec.Options.options()
+	if err != nil {
+		return nil, fmt.Errorf("options: %w", err)
+	}
+	matrix, err := rec.Matrix.Matrix()
+	if err != nil {
+		return nil, err
+	}
+	return s.registerWith(rec.ID, rec.Tenant, matrix, opts, rec.Generation, rec.CreatedAt, false, true)
 }
 
 // registerWith is the shared body of the register variants: version 0 and
@@ -703,19 +695,9 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 	if !s.authorizeOwner(w, r, id, rec.Tenant) {
 		return nil
 	}
-	opts, err := rec.Options.options()
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "reload corpus %q: options: %v", id, err)
-		return nil
-	}
-	matrix, err := rec.Matrix.Matrix()
-	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "reload corpus %q: %v", id, err)
-		return nil
-	}
 	_, isp := obs.StartSpan(r.Context(), "index")
 	isp.Tag("reload", true)
-	sess, err := s.registerIfAbsent(rec.ID, rec.Tenant, matrix, opts, rec.Generation, rec.CreatedAt)
+	sess, err := s.installRecord(rec)
 	isp.End()
 	if errors.Is(err, errAlreadyInstalled) {
 		// A concurrent upload or reload won the install; serve its session.
@@ -726,7 +708,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 		return nil
 	}
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "reload corpus %q: index: %v", id, err)
+		s.fail(w, http.StatusInternalServerError, "reload corpus %q: %v", id, err)
 		return nil
 	}
 	// A DELETE may have durably removed the corpus while the rebuild ran;

@@ -9,7 +9,6 @@ import (
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,11 +33,10 @@ import (
 //	manifest.json            per corpus ID: live generation, owner, entry
 //	                         count and listing metadata, plus the last
 //	                         generation ever assigned and delete tombstones
-//	corpora/<name>.g<N>.bin  one record per (corpus, generation), in the
-//	                         binary columnar codec (internal/codec); legacy
-//	                         .json records from older daemons are read (and
-//	                         compacted) alongside, so existing data dirs
-//	                         restore unchanged
+//	corpora/<name>.g<N>.bin  one snapshot record per (corpus, generation),
+//	                         in the binary columnar codec (internal/codec)
+//	corpora/<name>.g<N>.json one delta record (mutation cells chained on an
+//	                         earlier generation) per PATCH
 //
 // Records are written to a temp file and renamed into place, and the
 // manifest is rewritten the same way, so a crash mid-upload leaves either
@@ -48,11 +46,11 @@ import (
 //
 // A Store is safe for concurrent use.
 type Store struct {
-	dir    string
-	foldAt int // delta-chain length that triggers compaction folding
+	dir string
 
-	mu  sync.Mutex
-	man manifest
+	mu     sync.Mutex
+	man    manifest
+	foldAt int // delta-chain length that triggers compaction folding (guarded by mu)
 
 	compactCh chan struct{}
 	closed    chan struct{}
@@ -133,7 +131,7 @@ type CorpusRecord struct {
 	// BaseGeneration and Cells make the record a delta: it holds no Matrix,
 	// only the mutation cells applied on top of the record at
 	// BaseGeneration (which may itself be a delta — chains bottom out on a
-	// snapshot). LiveRecord and Restore materialize chains transparently;
+	// snapshot). LiveRecord materializes chains transparently;
 	// compaction folds them back into snapshots.
 	BaseGeneration int                  `json:"base_generation,omitempty"`
 	Cells          []bundling.DeltaCell `json:"cells,omitempty"`
@@ -142,16 +140,6 @@ type CorpusRecord struct {
 // isDelta reports whether the record is a chained delta rather than a full
 // snapshot.
 func (rec CorpusRecord) isDelta() bool { return rec.BaseGeneration > 0 && rec.Matrix == nil }
-
-// quotaEntries returns the record's entry count for quota accounting,
-// falling back to the raw doc length for records written before the Entries
-// field existed.
-func (rec CorpusRecord) quotaEntries() int {
-	if rec.Entries > 0 || rec.Matrix == nil {
-		return rec.Entries
-	}
-	return len(rec.Matrix.Entries)
-}
 
 // OpenStore opens (creating if needed) the snapshot store under dir and
 // starts its background compactor. Callers must Close it to flush the final
@@ -175,32 +163,13 @@ func OpenStore(dir string) (*Store, error) {
 		compactCh: make(chan struct{}, 1),
 		closed:    make(chan struct{}),
 	}
+	// Unmarshal into the initialized maps: a map the manifest omits (the
+	// omitempty ones, when empty) stays allocated.
 	buf, err := os.ReadFile(s.manifestPath())
 	switch {
 	case err == nil:
 		if err := json.Unmarshal(buf, &s.man); err != nil {
 			return nil, fmt.Errorf("store: manifest: %w", err)
-		}
-		if s.man.Live == nil {
-			s.man.Live = map[string]int{}
-		}
-		if s.man.Generations == nil {
-			s.man.Generations = map[string]int{}
-		}
-		if s.man.Owners == nil {
-			s.man.Owners = map[string]string{}
-		}
-		if s.man.Entries == nil {
-			s.man.Entries = map[string]int{}
-		}
-		if s.man.Deleted == nil {
-			s.man.Deleted = map[string]int{}
-		}
-		if s.man.Meta == nil {
-			s.man.Meta = map[string]corpusMeta{}
-		}
-		if s.man.Bases == nil {
-			s.man.Bases = map[string]int{}
 		}
 	case errors.Is(err, os.ErrNotExist):
 		// fresh store
@@ -254,7 +223,7 @@ func (s *Store) Put(rec CorpusRecord) error {
 		} else {
 			next.Owners[rec.ID] = rec.Tenant
 		}
-		next.Entries[rec.ID] = rec.quotaEntries()
+		next.Entries[rec.ID] = rec.Entries
 		next.Meta[rec.ID] = corpusMeta{
 			Consumers: rec.Matrix.Consumers,
 			Items:     rec.Matrix.Items,
@@ -285,7 +254,9 @@ const defaultFoldAt = 16
 // folding (the -delta-fold daemon flag); n < 1 keeps the default.
 func (s *Store) SetDeltaFold(n int) {
 	if n >= 1 {
+		s.mu.Lock() // the compactor reads it under mu
 		s.foldAt = n
+		s.mu.Unlock()
 	}
 }
 
@@ -533,125 +504,6 @@ func (s *Store) forEachLive(fn func(id, tenant string, entries int)) {
 	}
 }
 
-// Restore loads every live corpus record, sorted by ID. A record that fails
-// to load is skipped and reported in the joined error; the good records are
-// still returned, so one corrupt file degrades to a missing corpus instead
-// of a daemon that cannot boot.
-func (s *Store) Restore() ([]CorpusRecord, error) {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.man.Live))
-	gens := make(map[string]int, len(s.man.Live))
-	for id, gen := range s.man.Live {
-		ids = append(ids, id)
-		gens[id] = gen
-	}
-	s.mu.Unlock()
-	sort.Strings(ids)
-	var (
-		recs []CorpusRecord
-		errs []error
-	)
-	for _, id := range ids {
-		rec, err := s.readRecord(id, gens[id])
-		if err == nil {
-			rec, err = s.materialize(rec)
-		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("store: restore %q: %w", id, err))
-			continue
-		}
-		if rec.ID != id || rec.Generation != gens[id] {
-			errs = append(errs, fmt.Errorf("store: restore %q: record names %q generation %d, manifest expects generation %d",
-				id, rec.ID, rec.Generation, gens[id]))
-			continue
-		}
-		if rec.Matrix == nil {
-			errs = append(errs, fmt.Errorf("store: restore %q: record has no matrix", id))
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	s.backfillManifest(recs)
-	return recs, errors.Join(errs...)
-}
-
-// backfillManifest fills ownership and entry counts missing from the
-// manifest (written by a version that tracked only generations) from the
-// records themselves, so the install gate and quota accounting see old data
-// dirs correctly. The in-memory fill sticks even when the rewrite fails —
-// it restates what the records already durably say — and the rewrite then
-// lands with the next successful Put.
-func (s *Store) backfillManifest(recs []CorpusRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	changed := false
-	for _, rec := range recs {
-		if s.man.Live[rec.ID] != rec.Generation {
-			continue
-		}
-		if _, ok := s.man.Entries[rec.ID]; !ok {
-			s.man.Entries[rec.ID] = rec.quotaEntries()
-			changed = true
-		}
-		if _, ok := s.man.Owners[rec.ID]; !ok && rec.Tenant != "" {
-			s.man.Owners[rec.ID] = rec.Tenant
-			changed = true
-		}
-		if _, ok := s.man.Meta[rec.ID]; !ok {
-			s.man.Meta[rec.ID] = corpusMeta{
-				Consumers: rec.Matrix.Consumers,
-				Items:     rec.Matrix.Items,
-				CreatedAt: rec.CreatedAt,
-				Options:   rec.Options,
-			}
-			changed = true
-		}
-	}
-	if changed {
-		_ = s.saveManifestLocked(s.man)
-	}
-}
-
-// Bootstrap prepares the store for lazy serving without reading record
-// files: it returns the live corpus count the manifest already knows, after
-// backfilling listing metadata for any live ID a pre-metadata manifest
-// (written by an older daemon) left bare — only those records are read, so a
-// current-format data dir boots in O(manifest) regardless of corpus sizes.
-func (s *Store) Bootstrap() (int, error) {
-	s.mu.Lock()
-	n := len(s.man.Live)
-	var stale []string
-	gens := make(map[string]int)
-	for id, gen := range s.man.Live {
-		if _, meta := s.man.Meta[id]; meta {
-			if _, ent := s.man.Entries[id]; ent {
-				continue
-			}
-		}
-		stale = append(stale, id)
-		gens[id] = gen
-	}
-	s.mu.Unlock()
-	if len(stale) == 0 {
-		return n, nil
-	}
-	sort.Strings(stale)
-	var recs []CorpusRecord
-	var errs []error
-	for _, id := range stale {
-		rec, err := s.readRecord(id, gens[id])
-		if err != nil {
-			errs = append(errs, fmt.Errorf("store: bootstrap %q: %w", id, err))
-			continue
-		}
-		if rec.ID == id && rec.Matrix != nil {
-			recs = append(recs, rec)
-		}
-	}
-	s.backfillManifest(recs)
-	return n, errors.Join(errs...)
-}
-
 // DiskBytes walks the data directory and sums every file's size — manifest,
 // records and any not-yet-compacted garbage — the source of the
 // bundled_store_disk_bytes gauge.
@@ -692,8 +544,8 @@ func (s *Store) Len() int {
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
-// Record file extensions: new records are written in the binary codec;
-// legacy JSON records are read and compacted but never written.
+// Record file extensions: snapshots are written in the binary codec, delta
+// records as JSON.
 const (
 	binExt  = ".bin"
 	jsonExt = ".json"
@@ -706,10 +558,9 @@ func (s *Store) recordPath(id string, gen int, ext string) string {
 	return filepath.Join(s.dir, "corpora", fmt.Sprintf("%s.g%d%s", recordName(id), gen, ext))
 }
 
-// readRecord loads one (corpus, generation) record, binary codec first and
-// legacy JSON as the fallback — the read side of the format migration, so a
-// data dir written by an older daemon (or holding a mix across an upgrade)
-// restores unchanged.
+// readRecord loads one (corpus, generation) record: the binary snapshot when
+// one exists (a folded chain leaves one beside its delta head), else the
+// JSON delta record.
 func (s *Store) readRecord(id string, gen int) (CorpusRecord, error) {
 	buf, err := os.ReadFile(s.recordPath(id, gen, binExt))
 	switch {
@@ -959,8 +810,8 @@ func (s *Store) compactNow() error {
 
 // parseRecordName splits a record file name into its ID key (the sanitized
 // prefix plus hash, i.e. recordName(id)) and generation. Both record formats
-// parse, so compaction reclaims superseded legacy JSON records exactly like
-// binary ones.
+// parse, so compaction reclaims superseded delta records exactly like
+// snapshots.
 func parseRecordName(name string) (key string, gen int, ok bool) {
 	base, found := strings.CutSuffix(name, binExt)
 	if !found {

@@ -45,14 +45,13 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
-	recs, err := st2.Restore()
-	if err != nil {
-		t.Fatalf("restore: %v", err)
+	if n := st2.Len(); n != 1 {
+		t.Fatalf("reopened store holds %d live corpora, want 1", n)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("restored %d records, want 1", len(recs))
+	got, ok := st2.LiveRecord("shop")
+	if !ok {
+		t.Fatal("live record of shop did not load")
 	}
-	got := recs[0]
 	if got.ID != "shop" || got.Tenant != "alice" || got.Generation != 1 {
 		t.Errorf("record = %+v", got)
 	}
@@ -93,8 +92,8 @@ func TestStoreGenerationsSurviveDelete(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer st2.Close()
-	if recs, _ := st2.Restore(); len(recs) != 0 {
-		t.Errorf("deleted corpus restored: %+v", recs)
+	if rec, ok := st2.LiveRecord("c"); ok || st2.Len() != 0 {
+		t.Errorf("deleted corpus restored: %+v", rec)
 	}
 	// The generation counter must survive the delete, so a re-created ID
 	// continues its sequence.
@@ -220,8 +219,8 @@ func TestStorePutLiveMonotonic(t *testing.T) {
 	if !ok || rec.Generation != 2 {
 		t.Fatalf("LiveRecord = %+v, %v; want generation 2", rec, ok)
 	}
-	if recs, _ := st.Restore(); len(recs) != 1 || recs[0].Generation != 2 {
-		t.Fatalf("restore = %+v, want generation 2", recs)
+	if n := st.Len(); n != 1 {
+		t.Fatalf("live corpora = %d, want 1", n)
 	}
 }
 
@@ -299,18 +298,16 @@ func TestStoreLegacyJSONRecords(t *testing.T) {
 	if err := st2.Put(CorpusRecord{ID: "modern", Generation: 1, Matrix: testDoc(4)}); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := st2.Restore()
-	if err != nil {
-		t.Fatalf("restore mixed dir: %v", err)
+	if n := st2.Len(); n != 2 {
+		t.Fatalf("mixed dir holds %d live corpora, want 2", n)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("restored %d records, want 2", len(recs))
+	if _, ok := st2.LiveRecord("modern"); !ok {
+		t.Fatal("binary record of modern did not load")
 	}
-	byID := map[string]CorpusRecord{}
-	for _, r := range recs {
-		byID[r.ID] = r
+	got, ok := st2.LiveRecord("legacy")
+	if !ok {
+		t.Fatal("JSON record of legacy did not load")
 	}
-	got := byID["legacy"]
 	if got.Tenant != "alice" || got.Generation != 1 || got.Entries != 2 ||
 		got.Options.Strategy != "mixed" || got.Options.Theta != -0.05 ||
 		!got.CreatedAt.Equal(rec.CreatedAt) {
