@@ -22,9 +22,10 @@ test:
 
 # Race-check the packages with lock-free parallel paths (chunked evalPairs,
 # shared Solver sessions, per-stripe farming, the serving registry/batcher,
-# the cluster coordinator's scatter/gather fan-out).
+# the cluster coordinator's scatter/gather fan-out) and the sinks every
+# request record feeds (the trace recorder and ring, the usage meters).
 race:
-	$(GO) test -race ./internal/config/ ./internal/pricing/ ./internal/wtp/ ./internal/codec/ ./internal/server/ ./internal/cluster/ ./client/
+	$(GO) test -race ./internal/config/ ./internal/pricing/ ./internal/wtp/ ./internal/codec/ ./internal/server/ ./internal/cluster/ ./internal/obs/ ./internal/usage/ ./client/
 
 # The benchmark runner is a module of its own (bench/go.mod), so ./... in
 # the targets above never compiles it; vet and self-test it explicitly so an

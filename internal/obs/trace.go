@@ -263,15 +263,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	return context.WithValue(ctx, spanKey{}, sp), sp
 }
 
-// Annotate tags the context's current span; a no-op without one. Handlers
-// use it to hang request-level fields (corpus, algorithm, tenant) on the
-// root span for the request log line.
-func Annotate(ctx context.Context, key string, value any) {
-	if sp, _ := ctx.Value(spanKey{}).(*Span); sp != nil {
-		sp.Tag(key, value)
-	}
-}
-
 // Inject stamps the context's trace ID and current span ID onto outgoing
 // request headers; a no-op without a trace.
 func Inject(ctx context.Context, h http.Header) {

@@ -69,7 +69,6 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	}
 	sp.Tag("k", "v") // must not panic
 	sp.End()
-	Annotate(ctx, "k", "v")
 	h := http.Header{}
 	Inject(ctx, h)
 	if len(h) != 0 {

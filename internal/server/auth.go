@@ -2,7 +2,6 @@ package server
 
 import (
 	"bufio"
-	"context"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"time"
-
-	"bundling/internal/obs"
 )
 
 // Auth is the serving tier's tenancy map: API key → tenant ID. A request
@@ -122,16 +119,6 @@ func requestKey(r *http.Request) string {
 	return strings.TrimSpace(r.Header.Get("X-API-Key"))
 }
 
-// tenantKey carries the authenticated tenant through the request context.
-type tenantKey struct{}
-
-// tenantOf returns the tenant the request authenticated as ("" when auth is
-// disabled).
-func tenantOf(r *http.Request) string {
-	t, _ := r.Context().Value(tenantKey{}).(string)
-	return t
-}
-
 // Quotas bounds what one tenant may hold and ask of the daemon. Zero fields
 // are unlimited. With authentication disabled all traffic shares the
 // anonymous tenant, so the quotas become global daemon bounds.
@@ -213,7 +200,9 @@ func (g *rateGate) allow(tenant string) bool {
 }
 
 // guard wraps the API mux with the tenancy layer: API-key authentication
-// and the per-tenant request-rate quota. /v1 routes, /debug/traces and
+// and the per-tenant request-rate quota. It writes the authenticated tenant
+// into the request's record and marks the request admitted — only admitted
+// requests are billed to the usage meters. /v1 routes, /debug/traces and
 // /debug/fleet are guarded (traces and the fleet view carry corpus IDs and
 // request shapes — tenant data; the fleet view's span rows are
 // additionally tenant-scoped, see handleFleet); /healthz, /metrics and
@@ -228,7 +217,7 @@ func (s *Server) guard(next http.Handler) http.Handler {
 			next.ServeHTTP(w, r)
 			return
 		}
-		tenant := ""
+		rec := recordOf(w)
 		if s.cfg.Auth.Enabled() {
 			key := requestKey(r)
 			if key == "" {
@@ -242,34 +231,32 @@ func (s *Server) guard(next http.Handler) http.Handler {
 				s.fail(w, http.StatusUnauthorized, "unknown API key")
 				return
 			}
-			tenant = t
+			rec.tenant = t
 		}
-		if s.rates != nil && !s.rates.allow(tenant) {
+		if s.rates != nil && !s.rates.allow(rec.tenant) {
 			s.met.quotaRPS.Add(1)
 			w.Header().Set("Retry-After", "1")
 			s.fail(w, http.StatusTooManyRequests, "request rate quota exceeded (%g req/s)", s.cfg.Quotas.RequestsPerSecond)
 			return
 		}
-		if tenant != "" {
-			obs.Annotate(r.Context(), "tenant", tenant)
-		}
-		next.ServeHTTP(w, r.WithContext(context.WithValue(r.Context(), tenantKey{}, tenant)))
+		rec.admitted = true
+		next.ServeHTTP(w, r)
 	})
 }
 
 // authorize checks that the request's tenant may operate on a session. A
 // session with an empty owner is public — uploaded while authentication was
 // off (e.g. the -demo corpus) — and stays accessible to every tenant.
-func (s *Server) authorize(w http.ResponseWriter, r *http.Request, sess *session) bool {
-	return s.authorizeOwner(w, r, sess.id, sess.tenant)
+func (s *Server) authorize(w http.ResponseWriter, sess *session) bool {
+	return s.authorizeOwner(w, sess.id, sess.tenant)
 }
 
 // authorizeOwner is the one ownership predicate for request handling:
 // authorize applies it to live sessions, the store read-through paths
 // (lazy reload, persisted delete) to a record's owner. The registry's
 // install gate shares its semantics via ownerError.
-func (s *Server) authorizeOwner(w http.ResponseWriter, r *http.Request, id, owner string) bool {
-	if !s.cfg.Auth.Enabled() || owner == "" || owner == tenantOf(r) {
+func (s *Server) authorizeOwner(w http.ResponseWriter, id, owner string) bool {
+	if !s.cfg.Auth.Enabled() || owner == "" || owner == recordOf(w).tenant {
 		return true
 	}
 	s.fail(w, http.StatusForbidden, "%v", &ownerError{id: id})

@@ -235,7 +235,7 @@ type metrics struct {
 
 	shedRequests     atomic.Int64 // 503s from the solve/evaluate admission gate
 	deadlineExceeded atomic.Int64 // 504s: runs that outlived their execution budget
-	handlerPanics    atomic.Int64 // handler panics converted to 500 by the recoverer
+	handlerPanics    atomic.Int64 // handler panics converted to 500 by observe
 }
 
 func newMetrics() *metrics { return &metrics{Metrics: NewMetrics("bundled")} }

@@ -104,10 +104,6 @@ func (r *registry) nextID() string {
 	}
 }
 
-// put registers (or replaces) a session under sess.id, assigns its upload
-// generation, and returns the session it replaced (nil if the ID was new)
-// plus the sessions evicted to stay within the bound. The caller releases
-// replaced and evicted sessions' engines.
 // quotaError reports which tenant quota an admission would exceed; the
 // handler maps it to 429 and the matching rejection counter.
 type quotaError struct {
@@ -137,7 +133,7 @@ func (r *registry) ownerCheckLocked(tenant, id string) error {
 	if sess, ok := r.sessions[id]; ok {
 		owner, known = sess.tenant, true
 	} else if r.store != nil {
-		owner, known = r.store.Owner(id)
+		owner, _, _, known = r.store.LiveInfo(id)
 	}
 	if known && owner != "" && owner != tenant {
 		return &ownerError{id: id}
@@ -319,20 +315,6 @@ func (r *registry) touch(sess *session) {
 	if r.sessions[sess.id] == sess {
 		r.lru.MoveToFront(sess.elem)
 	}
-}
-
-// delete removes and returns the session for id (nil if absent); the
-// caller releases its engine.
-func (r *registry) delete(id string) *session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	sess, ok := r.sessions[id]
-	if !ok {
-		return nil
-	}
-	r.lru.Remove(sess.elem)
-	delete(r.sessions, id)
-	return sess
 }
 
 // deleteIf removes sess only if it is still the installed session for its

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"bundling"
+	"bundling/internal/obs"
 )
 
 // gatedSolver wraps a real solver but holds every solve until release is
@@ -185,9 +188,13 @@ func (p *panicSolver) SolveContext(context.Context, bundling.Algorithm) (*bundli
 }
 
 // TestPanicRecovery: a handler panic becomes a 500 with the panic counter
-// bumped; the server keeps serving afterwards.
+// bumped, observed like any other request — logged at error level, traced
+// with status=500 and billed as an error to its corpus; the server keeps
+// serving afterwards.
 func TestPanicRecovery(t *testing.T) {
+	var buf bytes.Buffer
 	srv := New(Config{
+		Logger:       slog.New(slog.NewJSONHandler(&buf, nil)),
 		CacheEntries: -1,
 		NewSolver: func(w *bundling.Matrix, o bundling.Options) (Solver, error) {
 			inner, err := bundling.NewSolver(w, o)
@@ -217,6 +224,73 @@ func TestPanicRecovery(t *testing.T) {
 	}
 	if !strings.Contains(metrics, "bundled_handler_panics_total 1") {
 		t.Fatal("panic not counted on /metrics")
+	}
+	reqID := resp.Header.Get(obs.HeaderRequest)
+	logged := false
+	for _, line := range strings.Split(buf.String(), "\n") {
+		logged = logged || strings.Contains(line, `"level":"ERROR","msg":"request"`) &&
+			strings.Contains(line, `"request_id":"`+reqID+`"`) && strings.Contains(line, `"status":500`)
+	}
+	if !logged {
+		t.Errorf("no error-level request line for the panic %s:\n%s", reqID, buf.String())
+	}
+	_, body = postGet(t, ts, "/debug/traces")
+	var tl TracesResponse
+	if err := decodeString(body, &tl); err != nil {
+		t.Fatal(err)
+	}
+	traced := false
+	for _, doc := range tl.Traces {
+		traced = traced || doc.RootTag("request_id") == reqID && doc.RootTag("status") == "500"
+	}
+	if !traced {
+		t.Errorf("no trace with root status=500 for the panic %s: %s", reqID, body)
+	}
+	_, body = postGet(t, ts, "/v1/usage")
+	var use UsageResponse
+	if err := decodeString(body, &use); err != nil {
+		t.Fatal(err)
+	}
+	if len(use.Corpora) != 1 || use.Corpora[0].Key != "c" || use.Corpora[0].Errors != 1 {
+		t.Errorf("usage corpora = %+v, want one error billed to c", use.Corpora)
+	}
+}
+
+// abortSolver aborts its request the way net/http's own handlers do.
+type abortSolver struct{ Solver }
+
+func (abortSolver) SolveContext(context.Context, bundling.Algorithm) (*bundling.Configuration, error) {
+	panic(http.ErrAbortHandler)
+}
+
+// TestAbortHandlerRepanics: http.ErrAbortHandler is net/http's idiom for
+// dropping the connection, not a bug — it passes through the recovery
+// uncounted, for net/http to handle.
+func TestAbortHandlerRepanics(t *testing.T) {
+	srv := New(Config{
+		NewSolver: func(w *bundling.Matrix, o bundling.Options) (Solver, error) {
+			inner, err := bundling.NewSolver(w, o)
+			if err != nil {
+				return nil, err
+			}
+			return abortSolver{inner}, nil
+		},
+	})
+	defer srv.Close()
+	if err := Preload(srv, "c", testMatrix(t, 40, 6, 1), bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/corpora/c/solve", strings.NewReader(`{"algorithm":"matching"}`))
+	func() {
+		defer func() {
+			if p := recover(); p != http.ErrAbortHandler {
+				t.Fatalf("recovered %v, want http.ErrAbortHandler", p)
+			}
+		}()
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+	}()
+	if n := srv.met.handlerPanics.Load(); n != 0 {
+		t.Errorf("abort counted as %d handler panics", n)
 	}
 }
 

@@ -153,21 +153,19 @@ type Config struct {
 	// installs fleet breaker gauges and coordinator fallback counters here).
 	ExtraMetrics func() ([]GaugeRow, []CounterRow)
 	// Logger, if set, receives one structured line per completed /v1
-	// request (trace ID, request ID, tenant, corpus, algorithm, status,
-	// duration) plus the slow-request span dumps. Nil disables request
-	// logging; tracing and /debug/traces work either way.
+	// request, traced or not and recovered panics included (trace ID when
+	// traced, request ID, tenant, corpus, algorithm, status, duration),
+	// plus the slow-request span dumps. Nil disables request logging;
+	// tracing and /debug/traces work either way.
 	Logger *slog.Logger
-	// SlowRequest, when positive, dumps the full span tree of any /v1
-	// request slower than this budget to the Logger at warn level.
+	// SlowRequest, when positive, dumps the full span tree of any traced
+	// /v1 request slower than this budget to the Logger at warn level.
 	SlowRequest time.Duration
 	// TraceRing bounds the in-memory ring of recent traces served at
 	// /debug/traces (0 = 128, negative disables request tracing entirely —
-	// X-Request-Id is still stamped, but no spans are recorded).
+	// X-Request-Id is still stamped and requests are still logged, metered
+	// and billed, but no spans are recorded).
 	TraceRing int
-	// TraceSpans caps recorded spans per trace (0 = obs.DefaultMaxSpans).
-	// Past the cap spans still feed the stage histograms but drop out of
-	// the stored trace, so an RPC-heavy cluster solve cannot balloon it.
-	TraceSpans int
 	// Pprof mounts net/http/pprof under /debug/pprof when set — auth-exempt
 	// like /metrics, so gate it at the operator's discretion (-pprof).
 	Pprof bool
@@ -265,34 +263,11 @@ func New(cfg Config) *Server {
 }
 
 // Handler returns the server's HTTP handler: the API mux behind the
-// workload accountant (inside the guard, so it meters by authenticated
-// tenant), the tenancy guard (authentication and the request-rate quota),
-// the tracing and request-ID middleware, and the panic-recovery middleware.
+// tenancy guard (authentication and the request-rate quota), behind
+// observe (the request record, request ID, tracing, panic recovery and
+// every per-request sink).
 func (s *Server) Handler() http.Handler {
-	return s.recoverer(s.trace(s.guard(s.account(s.mux))))
-}
-
-// recoverer converts a handler panic into a 500 response (when no bytes
-// were written yet) and a counted metric, instead of killing the
-// connection with an opaque empty reply. http.ErrAbortHandler re-panics:
-// it is net/http's own "drop this connection" idiom, not a bug.
-func (s *Server) recoverer(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			s.met.handlerPanics.Add(1)
-			// Best effort: if the handler already wrote a header this only
-			// logs through the metric — the wire is beyond repair.
-			s.fail(w, http.StatusInternalServerError, "internal error: %v", rec)
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return s.observe(s.guard(s.mux))
 }
 
 // Restore readies the configured Store's corpora for serving — lazily. Boot
@@ -337,7 +312,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// fail emits an error response and counts it. The middleware stamps the
+// fail emits an error response and counts it. observe stamps the
 // request ID on the response headers before the handler runs, so the error
 // body can echo it for log correlation without threading the request here.
 func (s *Server) fail(w http.ResponseWriter, status int, format string, args ...any) {
@@ -373,7 +348,8 @@ func decodeBodyLimit(w http.ResponseWriter, r *http.Request, v any, limit int64)
 // codec.ContentType, a binary codec record envelope (ID, options blob and
 // matrix columns — the same envelope the store persists).
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
+	rec := recordOf(w)
+	rec.op = "upload"
 	var req CreateCorpusRequest
 	if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
 		if !s.decodeCreateBinary(w, r, &req) {
@@ -415,24 +391,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "corpus: %v", err)
 		return
 	}
-	tenant := tenantOf(r)
-	obs.Annotate(r.Context(), "corpus", req.ID)
-	accountCorpus(r.Context(), req.ID)
+	rec.corpus = req.ID
 	// An advisory admission pass (ownership, quotas) runs before the
 	// expensive engine build so a doomed upload is rejected cheaply; the
 	// authoritative checks run atomically with the install inside the
 	// registry, where they also see evicted-but-persisted corpora.
-	if err := s.reg.admitCheck(tenant, req.ID, matrix.Entries(), s.cfg.Quotas); err != nil {
+	if err := s.reg.admitCheck(rec.tenant, req.ID, matrix.Entries(), s.cfg.Quotas); err != nil {
 		s.failAdmit(w, err)
 		return
 	}
 	_, isp := obs.StartSpan(r.Context(), "index")
 	isp.Tag("entries", matrix.Entries())
-	sess, err := s.register(req.ID, tenant, matrix, opts, true)
+	sess, err := s.register(req.ID, rec.tenant, matrix, opts, true)
 	isp.End()
-	if err == nil {
-		accountCorpus(r.Context(), sess.id) // covers server-assigned IDs
-	}
 	if err != nil {
 		var qe *quotaError
 		var oe *ownerError
@@ -443,8 +414,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "index corpus: %v", err)
 		return
 	}
+	rec.corpus = sess.id // covers server-assigned IDs
 	if s.cfg.Store != nil {
-		rec := CorpusRecord{
+		stored := CorpusRecord{
 			ID:         sess.id,
 			Tenant:     sess.tenant,
 			Generation: sess.version,
@@ -453,11 +425,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			Matrix:     req.Matrix,
 			Entries:    sess.stats.Entries, // parsed count, not raw doc length
 		}
-		if rec.Matrix == nil {
-			rec.Matrix = bundling.NewMatrixDoc(matrix) // csv uploads persist in canonical form
+		if stored.Matrix == nil {
+			stored.Matrix = bundling.NewMatrixDoc(matrix) // csv uploads persist in canonical form
 		}
 		_, psp := obs.StartSpan(r.Context(), "persist")
-		perr := s.cfg.Store.Put(rec)
+		perr := s.cfg.Store.Put(stored)
 		psp.End()
 		if perr != nil {
 			// An upload the caller cannot trust to survive a restart must
@@ -474,7 +446,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.met.Observe("upload", time.Since(start))
 	writeJSON(w, http.StatusCreated, sess.info())
 }
 
@@ -652,7 +623,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		for _, info := range infos {
 			live[info.ID] = true
 		}
-		for _, info := range s.cfg.Store.ListLive(tenantOf(r), !s.cfg.Auth.Enabled()) {
+		for _, info := range s.cfg.Store.ListLive(recordOf(w).tenant, !s.cfg.Auth.Enabled()) {
 			if !live[info.ID] {
 				infos = append(infos, info)
 			}
@@ -660,7 +631,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	}
 	if s.cfg.Auth.Enabled() {
-		tenant := tenantOf(r)
+		tenant := recordOf(w).tenant
 		visible := infos[:0]
 		for _, info := range infos {
 			if info.Tenant == "" || info.Tenant == tenant {
@@ -681,7 +652,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // Returns nil after writing the error response.
 func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string) *session {
 	if sess, ok := s.reg.peek(id); ok {
-		return s.servePeeked(w, r, sess)
+		return s.servePeeked(w, sess)
 	}
 	if s.cfg.Store == nil {
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
@@ -692,7 +663,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return nil
 	}
-	if !s.authorizeOwner(w, r, id, rec.Tenant) {
+	if !s.authorizeOwner(w, id, rec.Tenant) {
 		return nil
 	}
 	_, isp := obs.StartSpan(r.Context(), "index")
@@ -702,7 +673,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 	if errors.Is(err, errAlreadyInstalled) {
 		// A concurrent upload or reload won the install; serve its session.
 		if sess, ok := s.reg.peek(id); ok {
-			return s.servePeeked(w, r, sess)
+			return s.servePeeked(w, sess)
 		}
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return nil
@@ -727,8 +698,8 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 
 // servePeeked authorizes a peeked session and promotes its LRU recency for
 // serving; nil (response written) when the caller may not touch it.
-func (s *Server) servePeeked(w http.ResponseWriter, r *http.Request, sess *session) *session {
-	if !s.authorize(w, r, sess) {
+func (s *Server) servePeeked(w http.ResponseWriter, sess *session) *session {
+	if !s.authorize(w, sess) {
 		return nil
 	}
 	s.reg.touch(sess)
@@ -751,10 +722,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, ok := s.reg.peek(id)
 	if !ok {
-		s.deletePersisted(w, r, id)
+		s.deletePersisted(w, id)
 		return
 	}
-	if !s.authorize(w, r, sess) {
+	if !s.authorize(w, sess) {
 		return
 	}
 	// Delete exactly the session the caller was authorized on: a concurrent
@@ -772,7 +743,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // deletePersisted handles DELETE for an ID with no live session: the corpus
 // may still hold a persisted record (and quota) after an LRU eviction.
-func (s *Server) deletePersisted(w http.ResponseWriter, r *http.Request, id string) {
+func (s *Server) deletePersisted(w http.ResponseWriter, id string) {
 	if s.cfg.Store == nil {
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return
@@ -782,7 +753,7 @@ func (s *Server) deletePersisted(w http.ResponseWriter, r *http.Request, id stri
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return
 	}
-	if !s.authorizeOwner(w, r, id, owner) {
+	if !s.authorizeOwner(w, id, owner) {
 		return
 	}
 	if !s.deleteRecord(w, id, gen) {
@@ -830,6 +801,7 @@ func (s *Server) deleteRecord(w http.ResponseWriter, id string, gen int) bool {
 // with Content-Type codec.ContentType, a binary codec delta envelope.
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	recordOf(w).op = "mutate"
 	id := r.PathValue("id")
 	var req MutateCorpusRequest
 	if strings.HasPrefix(r.Header.Get("Content-Type"), codec.ContentType) {
@@ -861,7 +833,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	obs.Annotate(r.Context(), "corpus", sess.id)
 	if req.IfGeneration != 0 && req.IfGeneration != sess.version {
 		s.fail(w, http.StatusConflict, "corpus %q is at generation %d, not %d", id, sess.version, req.IfGeneration)
 		return
@@ -934,7 +905,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	s.met.Observe("mutate", time.Since(start))
 	writeJSON(w, http.StatusOK, MutateCorpusResponse{
 		Corpus:    nsess.id,
 		Version:   nsess.version,
@@ -1004,6 +974,8 @@ func (s *Server) failRun(w http.ResponseWriter, op string, err error) {
 // from the result cache.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	rec := recordOf(w)
+	rec.op = "solve"
 	sess := s.lookupSession(w, r, r.PathValue("id"))
 	if sess == nil {
 		return
@@ -1021,12 +993,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	obs.Annotate(r.Context(), "corpus", sess.id)
-	obs.Annotate(r.Context(), "algorithm", req.Algorithm)
+	rec.algorithm = req.Algorithm
 	key := sess.cacheKey("solve", req.Algorithm)
 	cfg, hit := s.cache.get(key)
-	obs.Annotate(r.Context(), "cached", hit)
-	accountCacheHit(r.Context(), hit)
+	rec.looked, rec.cached = true, hit
 	if hit {
 		s.met.cacheHits.Add(1)
 	} else {
@@ -1049,7 +1019,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cache.put(key, cfg)
 	}
-	s.met.Observe("solve", time.Since(start))
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Corpus:    sess.id,
 		Version:   sess.version,
@@ -1066,6 +1035,8 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // one bounded worker pass.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
+	rec := recordOf(w)
+	rec.op = "evaluate"
 	sess := s.lookupSession(w, r, r.PathValue("id"))
 	if sess == nil {
 		return
@@ -1079,11 +1050,9 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "no offers to evaluate")
 		return
 	}
-	obs.Annotate(r.Context(), "corpus", sess.id)
 	key := sess.cacheKey("evaluate", canonicalOffers(req.Offers))
 	cfg, hit := s.cache.get(key)
-	obs.Annotate(r.Context(), "cached", hit)
-	accountCacheHit(r.Context(), hit)
+	rec.looked, rec.cached = true, hit
 	var batched bool
 	if hit {
 		s.met.cacheHits.Add(1)
@@ -1115,7 +1084,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		}
 		s.cache.put(key, cfg)
 	}
-	s.met.Observe("evaluate", time.Since(start))
 	writeJSON(w, http.StatusOK, EvaluateResponse{
 		Corpus:    sess.id,
 		Version:   sess.version,

@@ -468,21 +468,10 @@ func (s *Store) Delete(id string, gen int) error {
 	return nil
 }
 
-// Owner reports the owning tenant of a live (persisted, non-deleted)
-// corpus; ok is false when the ID has no live record. The registry's
-// install gate consults it so an LRU-evicted corpus still blocks takeover
-// by another tenant.
-func (s *Store) Owner(id string) (tenant string, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, live := s.man.Live[id]; !live {
-		return "", false
-	}
-	return s.man.Owners[id], true
-}
-
 // LiveInfo reports the owning tenant, live generation and entry count of a
-// persisted corpus.
+// live (persisted, non-deleted) corpus; ok is false when the ID has no live
+// record. The registry's install gate consults the owner so an LRU-evicted
+// corpus still blocks takeover by another tenant.
 func (s *Store) LiveInfo(id string) (tenant string, gen, entries int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -122,8 +122,8 @@ func TestStoreDeleteGenerationAware(t *testing.T) {
 	if rec, ok := st.LiveRecord("c"); !ok || rec.Generation != 2 {
 		t.Fatalf("stale delete removed the newer generation: %+v, %v", rec, ok)
 	}
-	if owner, ok := st.Owner("c"); !ok || owner != "alice" {
-		t.Errorf("Owner = %q, %v; want alice", owner, ok)
+	if owner, _, _, ok := st.LiveInfo("c"); !ok || owner != "alice" {
+		t.Errorf("LiveInfo owner = %q, %v; want alice", owner, ok)
 	}
 	if err := st.Delete("c", 2); err != nil {
 		t.Fatalf("delete: %v", err)
@@ -131,7 +131,7 @@ func TestStoreDeleteGenerationAware(t *testing.T) {
 	if _, ok := st.LiveRecord("c"); ok {
 		t.Error("corpus live after matching-generation delete")
 	}
-	if _, ok := st.Owner("c"); ok {
+	if _, _, _, ok := st.LiveInfo("c"); ok {
 		t.Error("deleted corpus still has an owner")
 	}
 }

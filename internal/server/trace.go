@@ -1,129 +1,15 @@
 package server
 
 import (
-	"context"
-	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
-	"time"
 
 	"bundling/internal/obs"
 )
-
-// tracedPath reports whether a request path gets a trace and a request log
-// line: the /v1 API surface, where per-stage timings mean something.
-// /healthz and /metrics probes stay untraced — they are scraped every few
-// seconds and would wash the ring out.
-func tracedPath(path string) bool {
-	return strings.HasPrefix(path, "/v1/") || path == "/v1"
-}
-
-// trace is the outermost request middleware (inside only the recoverer):
-// it stamps a server-generated X-Request-Id on every response, and for /v1
-// requests opens a request-scoped trace — carried on the context, echoed as
-// X-Trace-Id, pushed to the /debug/traces ring on completion, logged as one
-// structured line, and dumped as a span tree when slower than the
-// configured slow-request budget.
-func (s *Server) trace(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		reqID := obs.NewID()
-		w.Header().Set(obs.HeaderRequest, reqID)
-		if s.traces == nil || !tracedPath(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		// A caller-supplied X-Trace-Id joins this request to the caller's
-		// trace; otherwise the trace gets a fresh ID.
-		traceID, _ := obs.Extract(r.Header)
-		tr := obs.NewTrace(traceID, s.cfg.TraceSpans)
-		tr.OnSpanEnd(s.met.ObserveStage)
-		w.Header().Set(obs.HeaderTrace, tr.ID)
-		ctx := obs.ContextWithTrace(r.Context(), tr)
-		ctx, root := obs.StartSpan(ctx, "request")
-		root.Tag("method", r.Method)
-		root.Tag("path", r.URL.Path)
-		root.Tag("request_id", reqID)
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		next.ServeHTTP(sw, r.WithContext(ctx))
-		dur := time.Since(start)
-		root.Tag("status", sw.status())
-		root.End()
-		doc := tr.Finish()
-		s.traces.Push(doc)
-		s.logRequest(r, doc, sw.status(), reqID, dur)
-	})
-}
-
-// statusWriter captures the response status for the trace and log line.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *statusWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
-
-// logRequest emits the structured per-request log line and, past the
-// slow-request budget, the full span tree.
-func (s *Server) logRequest(r *http.Request, doc obs.TraceDoc, status int, reqID string, d time.Duration) {
-	lg := s.cfg.Logger
-	if lg == nil {
-		return
-	}
-	attrs := []slog.Attr{
-		slog.String("trace", doc.TraceID),
-		slog.String("request_id", reqID),
-		slog.String("method", r.Method),
-		slog.String("path", r.URL.Path),
-		slog.Int("status", status),
-		slog.Float64("dur_ms", doc.DurMS),
-	}
-	for _, key := range []string{"tenant", "corpus", "algorithm"} {
-		if v := doc.RootTag(key); v != "" {
-			attrs = append(attrs, slog.String(key, v))
-		}
-	}
-	level := slog.LevelInfo
-	switch {
-	case status >= 500:
-		level = slog.LevelError
-	case status >= 400:
-		level = slog.LevelWarn
-	}
-	lg.LogAttrs(context.Background(), level, "request", attrs...)
-	if s.cfg.SlowRequest > 0 && d >= s.cfg.SlowRequest {
-		lg.LogAttrs(context.Background(), slog.LevelWarn, "slow request",
-			slog.String("trace", doc.TraceID),
-			slog.String("request_id", reqID),
-			slog.Duration("budget", s.cfg.SlowRequest),
-			slog.Float64("dur_ms", doc.DurMS),
-			slog.String("spans", "\n"+doc.Tree()))
-	}
-}
 
 // TracesResponse is the GET /debug/traces payload: recent traces, newest
 // first.

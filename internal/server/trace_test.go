@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -121,9 +122,11 @@ func TestDebugTracesEndpoint(t *testing.T) {
 }
 
 // TestTracingDisabled asserts TraceRing < 0 turns the subsystem off: no
-// X-Trace-Id, a 404 from /debug/traces, and X-Request-Id still present.
+// X-Trace-Id, a 404 from /debug/traces, and X-Request-Id still present —
+// and every /v1 request, a 404 included, still logs its line.
 func TestTracingDisabled(t *testing.T) {
-	srv := New(Config{TraceRing: -1})
+	var buf bytes.Buffer
+	srv := New(Config{TraceRing: -1, Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -144,6 +147,32 @@ func TestTracingDisabled(t *testing.T) {
 	tresp, _ := getBody(t, ts, "/debug/traces")
 	if tresp.StatusCode != http.StatusNotFound {
 		t.Errorf("/debug/traces with tracing disabled: %d, want 404", tresp.StatusCode)
+	}
+	missing, _ := postJSON(t, ts, "/v1/corpora/gone/solve", `{"algorithm":"matching"}`)
+	if missing.StatusCode != http.StatusNotFound {
+		t.Fatalf("missing corpus: %d", missing.StatusCode)
+	}
+	lines := strings.Split(buf.String(), "\n")
+	for _, want := range []struct {
+		reqID, corpus string
+		status        int
+	}{
+		{resp.Header.Get(obs.HeaderRequest), "off", http.StatusOK},
+		{missing.Header.Get(obs.HeaderRequest), "gone", http.StatusNotFound},
+	} {
+		found := false
+		for _, line := range lines {
+			found = found || strings.Contains(line, `"msg":"request"`) &&
+				strings.Contains(line, `"request_id":"`+want.reqID+`"`) &&
+				strings.Contains(line, `"corpus":"`+want.corpus+`"`) &&
+				strings.Contains(line, fmt.Sprintf(`"status":%d`, want.status))
+		}
+		if !found {
+			t.Errorf("no request line for %s (corpus %s, status %d) with tracing disabled:\n%s", want.reqID, want.corpus, want.status, buf.String())
+		}
+	}
+	if strings.Contains(buf.String(), `"trace"`) {
+		t.Errorf("untraced request lines carry a trace attribute:\n%s", buf.String())
 	}
 }
 

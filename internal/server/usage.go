@@ -1,12 +1,8 @@
 package server
 
 import (
-	"context"
-	"io"
 	"net/http"
-	"net/url"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"bundling/internal/usage"
@@ -32,118 +28,6 @@ func newUsageSet(topK int, window time.Duration) *usageSet {
 	}
 	cfg := usage.Config{TopK: topK, Window: window}
 	return &usageSet{tenants: usage.NewMeter(cfg), corpora: usage.NewMeter(cfg)}
-}
-
-// acctKey carries the request's mutable accounting record through the
-// context, so handlers can contribute facts the middleware cannot see from
-// the outside (the corpus ID inside an upload body, a cache hit).
-type acctKey struct{}
-
-type acctInfo struct {
-	corpus   string
-	cacheHit bool
-}
-
-// accountCorpus records the request's corpus ID for accounting — used by
-// handleCreate, where the ID lives in the body rather than the path.
-func accountCorpus(ctx context.Context, id string) {
-	if info, _ := ctx.Value(acctKey{}).(*acctInfo); info != nil {
-		info.corpus = id
-	}
-}
-
-// accountCacheHit marks the request as served from the result cache.
-func accountCacheHit(ctx context.Context, hit bool) {
-	if info, _ := ctx.Value(acctKey{}).(*acctInfo); info != nil {
-		info.cacheHit = hit
-	}
-}
-
-// corpusFromPath extracts the corpus ID from a /v1/corpora/{id}[/op] path.
-// The accounting middleware runs before mux routing, so PathValue is not
-// populated yet; it takes the ESCAPED path (r.URL.EscapedPath()) and
-// applies the mux's own decoding — split on literal '/', unescape the one
-// segment — so an ID containing an encoded slash or a literal %XX run
-// bills under exactly the key PathValue hands the handlers. Feeding it the
-// already-decoded r.URL.Path would double-decode those IDs.
-func corpusFromPath(escaped string) string {
-	rest, ok := strings.CutPrefix(escaped, "/v1/corpora/")
-	if !ok || rest == "" {
-		return ""
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	if id, err := url.PathUnescape(rest); err == nil {
-		return id
-	}
-	return rest
-}
-
-// countingBody counts the request-body bytes the handler actually read.
-type countingBody struct {
-	rc io.ReadCloser
-	n  atomic.Int64
-}
-
-func (b *countingBody) Read(p []byte) (int, error) {
-	n, err := b.rc.Read(p)
-	b.n.Add(int64(n))
-	return n, err
-}
-
-func (b *countingBody) Close() error { return b.rc.Close() }
-
-// countingWriter captures the response status and body size for accounting.
-type countingWriter struct {
-	statusWriter
-	n atomic.Int64
-}
-
-func (w *countingWriter) Write(b []byte) (int, error) {
-	n, err := w.statusWriter.Write(b)
-	w.n.Add(int64(n))
-	return n, err
-}
-
-// account is the workload-accounting middleware, sitting between the
-// tenancy guard (which resolved the tenant into the context) and the API
-// mux. Every /v1 request that passed the guard is metered by tenant and —
-// when one is addressed — by corpus: count, outcome, wall time, body bytes
-// both ways, cache hits. Requests the guard rejected (401/429) never reach
-// it; they have no tenant to bill.
-func (s *Server) account(next http.Handler) http.Handler {
-	if s.use == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !tracedPath(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
-		start := time.Now()
-		body := &countingBody{rc: r.Body}
-		r.Body = body
-		cw := &countingWriter{statusWriter: statusWriter{ResponseWriter: w}}
-		info := &acctInfo{corpus: corpusFromPath(r.URL.EscapedPath())}
-		r = r.WithContext(context.WithValue(r.Context(), acctKey{}, info))
-		next.ServeHTTP(cw, r)
-		sample := usage.Sample{
-			Err:      cw.status() >= 400,
-			Wall:     time.Since(start),
-			BytesIn:  body.n.Load(),
-			BytesOut: cw.n.Load(),
-			CacheHit: info.cacheHit,
-		}
-		tenant := tenantOf(r)
-		if tenant == "" {
-			tenant = AnonTenant
-		}
-		s.use.tenants.Add(tenant, sample)
-		if info.corpus != "" {
-			s.use.corpora.Add(info.corpus, sample)
-		}
-	})
 }
 
 // corpusOwner resolves a corpus ID to its owning tenant, looking past the
@@ -175,7 +59,7 @@ func (s *Server) handleUsage(w http.ResponseWriter, r *http.Request) {
 		Corpora:       s.use.corpora.Snapshot(),
 	}
 	if s.cfg.Auth.Enabled() {
-		tenant := tenantOf(r)
+		tenant := recordOf(w).tenant
 		resp.Scope = "tenant"
 		resp.Tenant = tenant
 		scoped := resp.Tenants[:0]
@@ -293,7 +177,7 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 	resp := s.cfg.Fleet(r.Context())
 	resp.Scope = "admin"
 	if s.cfg.Auth.Enabled() {
-		tenant := tenantOf(r)
+		tenant := recordOf(w).tenant
 		resp.Scope = "tenant"
 		resp.Tenant = tenant
 		for i := range resp.Workers {

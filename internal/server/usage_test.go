@@ -223,24 +223,30 @@ func TestUsageMetricsOptIn(t *testing.T) {
 	}
 }
 
-// TestCorpusFromPath feeds the accounting-key parser escaped paths and
-// demands the same single decode the mux's PathValue applies: an encoded
-// slash stays inside the ID, and a literal %XX run decodes exactly once.
-func TestCorpusFromPath(t *testing.T) {
-	cases := []struct{ escaped, want string }{
-		{"/v1/corpora/shop", "shop"},
-		{"/v1/corpora/shop/solve", "shop"},
-		{"/v1/corpora/a%2Fb", "a/b"},
-		{"/v1/corpora/a%2Fb/evaluate", "a/b"},
-		{"/v1/corpora/pct%2541", "pct%41"}, // literal %41 in the ID: one decode, not two
-		{"/v1/corpora/", ""},
-		{"/v1/usage", ""},
-		{"/healthz", ""},
-	}
-	for _, c := range cases {
-		if got := corpusFromPath(c.escaped); got != c.want {
-			t.Errorf("corpusFromPath(%q) = %q, want %q", c.escaped, got, c.want)
+// TestUsageCorpusKeyDecoding bills requests under the mux's decoded {id}:
+// an encoded slash stays inside the ID, and a literal %XX run decodes
+// exactly once — including on 404s, which are still that corpus's traffic.
+func TestUsageCorpusKeyDecoding(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for _, c := range []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/corpora/a%2Fb/solve", `{}`},
+		{http.MethodGet, "/v1/corpora/a%2Fb", ""},
+		{http.MethodPost, "/v1/corpora/pct%2541/evaluate", `{"offers":[[0]]}`},
+	} {
+		if status, body := authRequest(t, ts, c.method, c.path, "", c.body); status != http.StatusNotFound {
+			t.Fatalf("%s %s: %d, want 404: %s", c.method, c.path, status, body)
 		}
+	}
+	rows := map[string]UsageRow{}
+	for _, row := range getUsage(t, ts, "").Corpora {
+		rows[row.Key] = row
+	}
+	if len(rows) != 2 || rows["a/b"].Requests != 2 || rows["pct%41"].Requests != 1 {
+		t.Errorf("corpus rows = %+v, want a/b (2 requests) and pct%%41 (1)", rows)
 	}
 }
 

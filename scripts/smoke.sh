@@ -62,8 +62,9 @@ BUNDLED_ADDR="http://$ADDR" go test ./client -run TestServerSmoke -count=1 -v
 
 # --- observability ----------------------------------------------------------
 # Every /v1 response must carry an X-Request-Id, the solve's X-Trace-Id must
-# be retrievable from /debug/traces, and with -pprof the heap profile must
-# serve.
+# be retrievable from /debug/traces, the daemon log must hold the request
+# line of the solve and of a deliberate 404 (whose error body's request_id
+# alone must find it), and with -pprof the heap profile must serve.
 
 HDRS="$(mktemp)"
 curl -sf -D "$HDRS" -o /dev/null -X POST "http://$ADDR/v1/corpora/demo/solve" -d '{"algorithm":"matching"}'
@@ -83,12 +84,25 @@ if ! curl -sf "http://$ADDR/debug/traces" | grep -q "$TRACE_ID"; then
   echo "/debug/traces does not contain trace $TRACE_ID" >&2
   exit 1
 fi
+MISS_ID=$(curl -s -X POST "http://$ADDR/v1/corpora/no-such-corpus/solve" -d '{}' |
+  sed -n 's/.*"request_id": *"\([0-9a-f]*\)".*/\1/p')
+if [ -z "$MISS_ID" ]; then
+  echo "404 error body carries no request_id" >&2
+  exit 1
+fi
+for id in "$REQ_ID" "$MISS_ID"; do
+  if ! grep -q "request_id=$id" "$LOG"; then
+    echo "daemon log has no request line for request_id $id; log:" >&2
+    cat "$LOG" >&2
+    exit 1
+  fi
+done
 code=$(curl -s -o /dev/null -w '%{http_code}' "http://$ADDR/debug/pprof/heap?debug=1")
 if [ "$code" != "200" ]; then
   echo "/debug/pprof/heap returned $code with -pprof, want 200" >&2
   exit 1
 fi
-echo "observability smoke: request $REQ_ID traced as $TRACE_ID, pprof serving"
+echo "observability smoke: request $REQ_ID traced as $TRACE_ID and logged, 404 $MISS_ID logged, pprof serving"
 
 # --- distributed mode -------------------------------------------------------
 
