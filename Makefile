@@ -24,8 +24,11 @@ test:
 # shared Solver sessions, per-stripe farming, the serving registry/batcher,
 # the cluster coordinator's scatter/gather fan-out) and the sinks every
 # request record feeds (the trace recorder and ring, the usage meters).
+# The second line repeats the race between a session's concurrent first
+# solves, which publish its round-one memo.
 race:
 	$(GO) test -race ./internal/config/ ./internal/pricing/ ./internal/wtp/ ./internal/codec/ ./internal/server/ ./internal/cluster/ ./internal/obs/ ./internal/usage/ ./client/
+	$(GO) test -race -count=10 -run TestRoundMemoConcurrentFirstSolves ./internal/config/
 
 # The benchmark runner is a module of its own (bench/go.mod), so ./... in
 # the targets above never compiles it; vet and self-test it explicitly so an

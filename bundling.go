@@ -303,8 +303,11 @@ type DeltaCell = wtp.Cell
 // receiver untouched and still serving its own snapshot. The mutation is
 // incremental: the matrix is patched copy-on-write, only the index stripes
 // holding mutated consumers rebuild, and only the mutated items' priced
-// singleton prototypes re-price. The new session's Stats().Version advances
-// by exactly one, which is what invalidates version-keyed result caches.
+// singleton prototypes re-price. The new session's first Optimal2, matching
+// or greedy solve likewise prices only the item pairs the delta touched and
+// re-prices the receiver's surviving pairs. The new session's
+// Stats().Version advances by exactly one, which is what invalidates
+// version-keyed result caches.
 func (s *Solver) ApplyDelta(cells []DeltaCell) (*Solver, error) {
 	return s.ApplyDeltaOn(cells, nil)
 }

@@ -15,6 +15,7 @@ import (
 
 	"bundling/internal/config"
 	"bundling/internal/experiments"
+	"bundling/internal/wtp"
 )
 
 // PerfResult is one benchmarked algorithm run.
@@ -133,6 +134,36 @@ func runPerf(env *experiments.Env, scaleName, outPath string, base config.Params
 		}
 		if err := record("Session/"+j.name, func() (*config.Configuration, error) {
 			return s.Solve(j.alg)
+		}); err != nil {
+			return err
+		}
+	}
+	// Re-solve after a PATCH, the loop the solve-* workloads of the repo
+	// benchmark model: one op applies a 4-cell delta to a solved generation
+	// and solves the derived session, whose first solve repairs the
+	// round-one memo instead of pricing every pair. Every op derives from
+	// the same solved base with the same delta, so the revenue is fixed.
+	var cells []wtp.Cell
+	for k := 0; k < 4; k++ {
+		item := k * env.DS.Items / 4
+		if post := env.W.Postings(item); len(post) > 0 {
+			cells = append(cells, wtp.Cell{Consumer: post[0].Consumer, Item: item, Value: 1.5 * post[0].Value})
+		}
+	}
+	for _, j := range jobs {
+		base, err := config.NewSolver(env.W, j.p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		if _, err := base.Solve(j.alg); err != nil {
+			return fmt.Errorf("%s: %w", j.name, err)
+		}
+		if err := record("Resolve/"+j.name, func() (*config.Configuration, error) {
+			next, err := base.ApplyDelta(cells, nil)
+			if err != nil {
+				return nil, err
+			}
+			return next.Solve(j.alg)
 		}); err != nil {
 			return err
 		}

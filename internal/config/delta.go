@@ -14,6 +14,24 @@ import (
 // the touched items. Every untouched prototype (vector, quote, mixed-bundling
 // state) is shared read-only with the receiver.
 //
+// The round-one memo (roundMemo) carries over too. Optimal2 and
+// Algorithms 1 and 2 open by pricing every mergeable item pair, and a
+// delta changes only the touched items' singletons, so a pair of two
+// untouched items prices exactly as before. The derived session inherits
+// the receiver's survivors with the touched items marked stale; its first
+// pair-based solve re-prices the survivors that touch no stale item,
+// prices every pair with a stale item, and merges both back in (u, v)
+// order, so matching edges and greedy heap pushes are those of a rebuild.
+// On the 600×150 bench corpus a 4-cell delta leaves at most 4 × 149 pairs to
+// price afresh instead of 11,115 (plus the kept survivors: none under pure
+// bundling, about 3,800 of 4,020 under mixed). If the receiver was never
+// solved, it passes on
+// its own inherited memo with the union of both deltas' items marked; the
+// memo is dropped (the first solve builds it afresh) once more than half
+// the items are stale, or when the receiver has none. The memo costs 8
+// bytes per surviving pair (32 KB for the 4,020 survivors of the mixed
+// bench corpus) and is shared read-only between generations.
+//
 // exec follows the NewSolverOn contract: nil selects the new local shard; a
 // distributed caller passes the executor wired to the patched worker spans.
 // The frequent-itemset transaction lists are not carried over — they are
@@ -55,5 +73,6 @@ func (s *Solver) ApplyDelta(cells []wtp.Cell, exec StripeExecutor) (*Solver, err
 	for i := range touched {
 		ns.protos[i] = e.buildSingleton(e.ctx, i)
 	}
+	ns.round1.Store(s.round1.Load().derive(cells, len(ns.protos)))
 	return ns, nil
 }

@@ -45,21 +45,12 @@ func (e *engine) greedy() (*Configuration, error) {
 	// keeps taking the least-bad merge all the way to a single bundle and
 	// returns the best configuration seen.
 	runToEnd := e.params.GreedyRunToEnd
-	var jobs []pairJob
-	for i := 0; i < len(nodes); i++ {
-		for j := i + 1; j < len(nodes); j++ {
-			if e.mergeable(nodes[i], nodes[j]) {
-				jobs = append(jobs, pairJob{u: i, v: j})
-			}
-		}
-	}
-	for _, r := range e.evalPairs(nodes, jobs, runToEnd) {
-		push(r.u, r.v, r.merged, r.gain)
-	}
-	if err := e.canceled(); err != nil {
-		// A done context truncates evalPairs; an empty heap here would end
-		// the run looking converged instead of aborted.
+	first, err := e.firstRound(nodes, runToEnd)
+	if err != nil {
 		return nil, err
+	}
+	for _, r := range first {
+		push(r.u, r.v, r.merged, r.gain)
 	}
 	// Best-seen snapshot for the run-to-end variant.
 	bestTotal := total
@@ -79,6 +70,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		snapshot()
 	}
 	iteration := 0
+	var jobs []pairJob
 	for h.Len() > 0 {
 		if err := e.canceled(); err != nil {
 			return nil, err

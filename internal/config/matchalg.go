@@ -43,24 +43,29 @@ func (e *engine) matching() (*Configuration, error) {
 			return nil, err
 		}
 		iteration++
-		var jobs []pairJob
-		for i := 0; i < len(nodes); i++ {
-			for j := i + 1; j < len(nodes); j++ {
-				a, b := nodes[i], nodes[j]
-				if iteration > 1 && !a.fresh && !b.fresh {
-					continue
-				}
-				if !e.mergeable(a, b) {
-					continue
-				}
-				jobs = append(jobs, pairJob{u: i, v: j})
+		var cands []pairResult
+		if iteration == 1 {
+			var err error
+			if cands, err = e.firstRound(nodes, false); err != nil {
+				return nil, err
 			}
-		}
-		cands := e.evalPairs(nodes, jobs, false)
-		if err := e.canceled(); err != nil {
-			// A done context truncates evalPairs; an empty batch here means
-			// "aborted", not "converged" — it must not end the run silently.
-			return nil, err
+		} else {
+			var jobs []pairJob
+			for i := 0; i < len(nodes); i++ {
+				for j := i + 1; j < len(nodes); j++ {
+					a, b := nodes[i], nodes[j]
+					if (a.fresh || b.fresh) && e.mergeable(a, b) {
+						jobs = append(jobs, pairJob{u: i, v: j})
+					}
+				}
+			}
+			cands = e.evalPairs(nodes, jobs, false)
+			if err := e.canceled(); err != nil {
+				// A done context truncates evalPairs; an empty batch here
+				// means "aborted", not "converged" — it must not end the
+				// run silently.
+				return nil, err
+			}
 		}
 		if len(cands) == 0 {
 			break

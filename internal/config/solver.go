@@ -21,8 +21,9 @@ import (
 // indexing.
 //
 // All mutable per-run state lives in a per-solve engine; the Solver itself
-// holds only immutable snapshots and sync.Pool-recycled scratch, so one
-// Solver may be shared freely between goroutines.
+// holds only immutable snapshots, sync.Pool-recycled scratch and an
+// atomically published round-one memo, so one Solver may be shared freely
+// between goroutines.
 type Solver struct {
 	w      *wtp.Matrix
 	sh     *wtp.Shard
@@ -41,6 +42,9 @@ type Solver struct {
 	// first FreqItemset solve and shared by later ones.
 	txsOnce sync.Once
 	txs     [][]int
+	// round1 is the round-one memo (see roundMemo): nil until the first
+	// pair-based solve builds it, or pending when inherited by ApplyDelta.
+	round1 atomic.Pointer[roundMemo]
 }
 
 // StripeExecutor computes the striped consumer-axis reductions every

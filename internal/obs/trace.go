@@ -256,11 +256,18 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		return ctx, nil
 	}
 	var parent int64
-	if ps, _ := ctx.Value(spanKey{}).(*Span); ps != nil {
+	if ps := SpanFrom(ctx); ps != nil {
 		parent = ps.id
 	}
 	sp := &Span{tr: t, id: t.nextID.Add(1), parent: parent, name: name, start: time.Now()}
 	return context.WithValue(ctx, spanKey{}, sp), sp
+}
+
+// SpanFrom returns the context's current span: nil when the context
+// carries no trace, or only the trace with no span opened yet.
+func SpanFrom(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }
 
 // Inject stamps the context's trace ID and current span ID onto outgoing
@@ -271,7 +278,7 @@ func Inject(ctx context.Context, h http.Header) {
 		return
 	}
 	h.Set(HeaderTrace, t.ID)
-	if sp, _ := ctx.Value(spanKey{}).(*Span); sp != nil {
+	if sp := SpanFrom(ctx); sp != nil {
 		h.Set(HeaderSpan, strconv.FormatInt(sp.id, 10))
 	}
 }

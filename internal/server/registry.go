@@ -35,7 +35,20 @@ type session struct {
 	createdAt time.Time
 	batcher   *batcher
 
-	elem *list.Element // registry LRU slot, guarded by the registry mutex
+	elem    *list.Element // registry LRU slot, guarded by the registry mutex
+	retired bool          // entries dropped from the result cache, guarded by its mutex
+}
+
+// snapshot is the triple a cache key embeds; resultCache.drop matches it
+// exactly, whatever characters the corpus ID holds.
+type snapshot struct {
+	id      string
+	gen     int
+	version uint64
+}
+
+func (s *session) snapshot() snapshot {
+	return snapshot{id: s.id, gen: s.version, version: s.stats.Version}
 }
 
 // cacheKey builds a result-cache key scoped to this exact corpus snapshot:

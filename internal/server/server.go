@@ -439,7 +439,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			// transient store fault never turns a serving corpus into 404.
 			s.met.storeErrors.Add(1)
 			if removed := s.reg.deleteIf(sess); removed != nil {
-				releaseSession(removed)
+				s.retireSession(removed)
 				s.recoverFromStore(sess.id)
 			}
 			s.fail(w, http.StatusInternalServerError, "persist corpus: %v", perr)
@@ -555,7 +555,7 @@ func (s *Server) registerWith(id, tenant string, matrix *bundling.Matrix, opts b
 		releaseSession(sess) // a cluster engine has already fed its spans
 		return nil, err
 	}
-	releaseSession(replaced)
+	s.retireSession(replaced)
 	for _, victim := range evicted {
 		s.met.evictions.Add(1)
 		releaseSession(victim)
@@ -599,6 +599,19 @@ func releaseSession(sess *session) {
 	if c, ok := sess.solver.(io.Closer); ok {
 		_ = c.Close()
 	}
+}
+
+// retireSession releases a session that a re-upload or PATCH superseded,
+// or a delete (or a persist rollback) removed, and drops its result-cache
+// entries: no request can hit them again, and left to age out they would
+// crowd live results out of the LRU. An LRU-evicted session is only
+// released — a lazy reload restores its snapshot under the same cache keys.
+func (s *Server) retireSession(sess *session) {
+	if sess == nil {
+		return
+	}
+	s.cache.drop(sess)
+	releaseSession(sess)
 }
 
 // Preload registers a session programmatically — the daemon's -demo corpus
@@ -688,7 +701,7 @@ func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string
 	// liveness after the install and back out if the generation is gone
 	// (deletePersisted's memory sweep covers the opposite interleaving).
 	if _, gen, _, live := s.cfg.Store.LiveInfo(id); !live || gen != rec.Generation {
-		releaseSession(s.reg.deleteIf(sess))
+		s.retireSession(s.reg.deleteIf(sess))
 		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return nil
 	}
@@ -733,7 +746,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	// another tenant's claim of a freed ID) must survive — deleteIf skips a
 	// replaced session, and the generation-aware store delete is a no-op
 	// once a newer generation is persisted.
-	releaseSession(s.reg.deleteIf(sess))
+	s.retireSession(s.reg.deleteIf(sess))
 	if !s.deleteRecord(w, id, sess.version) {
 		return
 	}
@@ -771,7 +784,7 @@ func (s *Server) deletePersisted(w http.ResponseWriter, id string) {
 // re-claim of the freed ID.
 func (s *Server) sweepResurrected(id string, gen int) {
 	if sess, ok := s.reg.peek(id); ok && sess.version <= gen {
-		releaseSession(s.reg.deleteIf(sess))
+		s.retireSession(s.reg.deleteIf(sess))
 	}
 }
 
@@ -794,11 +807,11 @@ func (s *Server) deleteRecord(w http.ResponseWriter, id string, gen int) bool {
 // handlePatch applies a delta upsert to a corpus in place: the session
 // engine derives a new session incrementally (touched stripes, touched
 // singletons, span-scoped worker feeds) instead of re-indexing the matrix,
-// the registry swaps it in under the next generation — which retires every
-// cached result of the old snapshot through the generation-keyed cache —
-// and the store appends a generation-chained delta record that compaction
-// later folds into a snapshot. The body is the JSON MutateCorpusRequest or,
-// with Content-Type codec.ContentType, a binary codec delta envelope.
+// the registry swaps it in under the next generation — the old snapshot's
+// cached results are dropped with it (retireSession) — and the store
+// appends a generation-chained delta record that compaction later folds
+// into a snapshot. The body is the JSON MutateCorpusRequest or, with
+// Content-Type codec.ContentType, a binary codec delta envelope.
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	recordOf(w).op = "mutate"
@@ -873,7 +886,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.failAdmit(w, err)
 		return
 	}
-	releaseSession(replaced)
+	s.retireSession(replaced)
 	for _, victim := range evicted {
 		s.met.evictions.Add(1)
 		releaseSession(victim)
@@ -898,7 +911,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			// disk guarantees.
 			s.met.storeErrors.Add(1)
 			if removed := s.reg.deleteIf(nsess); removed != nil {
-				releaseSession(removed)
+				s.retireSession(removed)
 				s.recoverFromStore(nsess.id)
 			}
 			s.fail(w, http.StatusInternalServerError, "persist delta: %v", perr)
@@ -1017,7 +1030,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			s.failRun(w, "solve", err)
 			return
 		}
-		s.cache.put(key, cfg)
+		s.cache.put(sess, key, cfg)
 	}
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Corpus:    sess.id,
@@ -1082,7 +1095,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 			s.failRun(w, "evaluate", err)
 			return
 		}
-		s.cache.put(key, cfg)
+		s.cache.put(sess, key, cfg)
 	}
 	writeJSON(w, http.StatusOK, EvaluateResponse{
 		Corpus:    sess.id,
