@@ -50,14 +50,14 @@
 // engine. Candidate merges derive the merged bundle's interested-consumer
 // vector from the two parents' cached vectors in O(|a|+|b|) (striped
 // unions) instead of rescanning the raw item postings; candidate pricing
-// runs entirely in per-worker scratch buffers, materializing a bundle node
-// only when a candidate survives the gain filter; mixed-bundling price
-// search sweeps all T price levels in O(m·log m + T) by sorting consumers
-// on their switch-threshold price rather than rescanning all m consumers
-// per level; and both the initial pair seeding and the per-iteration
-// re-pricing after each merge are evaluated by a chunked parallel worker
-// pool (Options via config.Params.Parallelism; results are deterministic
-// regardless of worker count).
+// runs entirely in per-worker scratch buffers, building a bundle node
+// only for a merge an algorithm takes; mixed-bundling price search sweeps
+// all T price levels in O(m + T) by hashing consumers into price-level
+// buckets by their switch-threshold price rather than rescanning all m
+// consumers per level; and both the initial pair seeding and the
+// per-iteration re-pricing after each merge are evaluated by a chunked
+// parallel worker pool (Options via config.Params.Parallelism; results are
+// deterministic regardless of worker count).
 //
 // Measured on the 600×150 bench corpus (single core, see
 // BENCH_greedy.json): mixed greedy 3.41s → 0.64s per run (5.3×) with 7.8×
@@ -169,7 +169,8 @@ type Options struct {
 	Gamma float64
 	// Alpha is the adoption bias (0 = unbiased, i.e. α = 1).
 	Alpha float64
-	// PriceLevels is the number of discrete price levels T (0 = 100).
+	// PriceLevels is the number of discrete price levels T (0 = 100; at
+	// most 65,536).
 	PriceLevels int
 	// ProfitWeight is the seller's objective weight between profit and
 	// consumer surplus: utility = weight·profit + (1-weight)·surplus

@@ -86,6 +86,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Gamma: -5},
 		{Alpha: -1},
 		{PriceLevels: -3},
+		{PriceLevels: 1<<16 + 1},
 	}
 	for i, o := range bad {
 		if _, err := bundling.Configure(w, o); err == nil {

@@ -3,6 +3,7 @@ package config
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -339,12 +340,21 @@ func TestMergeItemsAndIntersect(t *testing.T) {
 	}
 }
 
-func TestAlignVals(t *testing.T) {
-	got := alignVals([]int{1, 2, 5, 9}, []int{2, 9}, []float64{7, 3})
-	want := []float64{0, 7, 0, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("alignVals = %v, want %v", got, want)
+// TestAddStateAligns scatters two parts' market state onto a bundle's
+// consumer axis: each part lands on its own consumers, overlaps add, and
+// consumers of neither stay zero.
+func TestAddStateAligns(t *testing.T) {
+	ids := []int{1, 2, 5, 9}
+	a := &node{ids: []int{2, 9}, pay: []float64{7, 3}, surp: []float64{1, 2}, cost: []float64{0.5, 0.25}, esur: []float64{1, 2}}
+	b := &node{ids: []int{1, 9}, pay: []float64{4, 6}, surp: []float64{3, 5}, cost: []float64{1, 1}, esur: []float64{2, 4}}
+	sc := &mergeScratch{}
+	sc.resetState(len(ids))
+	sc.addState(ids, a)
+	sc.addState(ids, b)
+	want := [][]float64{{4, 7, 0, 9}, {3, 1, 0, 7}, {1, 0.5, 0, 1.25}, {2, 1, 0, 6}}
+	for i, got := range [][]float64{sc.pay, sc.surp, sc.cost, sc.esur} {
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("state vector %d = %v, want %v", i, got, want[i])
 		}
 	}
 }

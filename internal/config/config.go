@@ -53,7 +53,7 @@ type Params struct {
 	Theta       float64        // bundling coefficient θ (Eq. 1)
 	K           int            // max bundle size k; Unlimited (0) = no cap
 	Model       adoption.Model // stochastic adoption model (γ, α, ε)
-	PriceLevels int            // T; 0 selects pricing.DefaultLevels
+	PriceLevels int            // T ≤ pricing.MaxLevels; 0 selects pricing.DefaultLevels
 	// ProfitWeight is the α of the seller's utility α·profit+(1-α)·surplus
 	// (Sec. 1). The paper's evaluation fixes it at 1 (DefaultParams).
 	ProfitWeight float64
@@ -120,8 +120,8 @@ func (p Params) Validate() error {
 	if p.K < 0 {
 		return fmt.Errorf("config: k=%d must be ≥ 0", p.K)
 	}
-	if p.PriceLevels < 0 {
-		return fmt.Errorf("config: price levels %d must be ≥ 0", p.PriceLevels)
+	if p.PriceLevels < 0 || p.PriceLevels > pricing.MaxLevels {
+		return fmt.Errorf("config: price levels %d outside [0, %d]", p.PriceLevels, pricing.MaxLevels)
 	}
 	if (p.Model == adoption.Model{}) {
 		return fmt.Errorf("config: zero adoption model; use adoption.New or adoption.Default")

@@ -246,22 +246,11 @@ func (e *engine) evaluateMixed(sets [][]int, start time.Time) (*Configuration, e
 // Items of n not covered by any part contribute WTP to the bundle but have
 // no standalone offer.
 func (e *engine) priceOverParts(n *node, parts []*node) {
-	curPay := make([]float64, len(n.ids))
-	curSurp := make([]float64, len(n.ids))
-	curCost := make([]float64, len(n.ids))
-	curESur := make([]float64, len(n.ids))
+	sc := e.ctx.sc
+	sc.resetState(len(n.ids))
 	var lo, hi float64
 	for _, p := range parts {
-		pp := alignVals(n.ids, p.ids, p.pay)
-		ps := alignVals(n.ids, p.ids, p.surp)
-		pc := alignVals(n.ids, p.ids, p.cost)
-		pe := alignVals(n.ids, p.ids, p.esur)
-		for j := range curPay {
-			curPay[j] += pp[j]
-			curSurp[j] += ps[j]
-			curCost[j] += pc[j]
-			curESur[j] += pe[j]
-		}
+		sc.addState(n.ids, p)
 		if p.quote.Price > lo {
 			lo = p.quote.Price
 		}
@@ -272,46 +261,8 @@ func (e *engine) priceOverParts(n *node, parts []*node) {
 		// the top so the bundle can still price above the part.
 		hi = lo * 2
 	}
-	mq := e.pr.PriceMixedIn(e.ctx.psc, pricing.MixedOffer{
-		CurPay: curPay, CurSurplus: curSurp, CurCost: curCost, CurESurplus: curESur,
-		WB: n.vals, Lo: lo, Hi: hi, BundleCost: n.unitC,
-		Obj: pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: n.unitC},
-	})
-	n.pay = make([]float64, len(n.ids))
-	n.surp = make([]float64, len(n.ids))
-	n.cost = make([]float64, len(n.ids))
-	n.esur = make([]float64, len(n.ids))
-	alpha := e.params.Model.Alpha()
-	var pay, cost, sur float64
-	for j := range n.ids {
-		var pj, prob float64
-		var switched bool
-		if mq.Feasible {
-			pj, prob, switched = e.pr.ResolveSwitch(n.vals[j], curPay[j], curSurp[j], mq.Price)
-		} else {
-			pj = curPay[j]
-		}
-		n.pay[j] = pj
-		if switched {
-			n.cost[j] = n.unitC * prob
-			if s := alpha*n.vals[j] - mq.Price; s > 0 {
-				n.surp[j] = s
-				n.esur[j] = s * prob
-			}
-		} else {
-			n.surp[j] = curSurp[j]
-			n.cost[j] = curCost[j]
-			n.esur[j] = curESur[j]
-		}
-		pay += pj
-		cost += n.cost[j]
-		sur += n.esur[j]
-	}
-	n.revenue = pay
-	n.profit = pay - cost
-	n.surplus = sur
-	n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
-	n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
+	mq := e.priceMixed(e.ctx.psc, sc, n.vals, lo, hi, n.unitC)
+	e.commitMixed(n, sc, bundleQuote(mq), mq.Feasible)
 }
 
 // thetaFor applies θ only to true bundles.

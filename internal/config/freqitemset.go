@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"bundling/internal/fim"
-	"bundling/internal/pricing"
 	"bundling/internal/wtp"
 )
 
@@ -174,42 +173,17 @@ func (e *engine) evalItemset(items []int, singles []*node) (*node, float64) {
 	default: // Mixed
 		// Combined current state of the singleton components (disjoint, so
 		// payments and surpluses add), plus the paper's price window.
-		m := len(sc.ids)
-		sc.pay = grow(sc.pay, m)
-		sc.surp = grow(sc.surp, m)
-		sc.cost = grow(sc.cost, m)
-		sc.esur = grow(sc.esur, m)
-		for j := 0; j < m; j++ {
-			sc.pay[j], sc.surp[j], sc.cost[j], sc.esur[j] = 0, 0, 0, 0
-		}
+		sc.resetState(len(sc.ids))
 		var lo, hi float64
 		for _, i := range items {
 			s := singles[i]
-			// s.ids ⊆ sc.ids (every consumer interested in a component is
-			// interested in the bundle), so a single forward walk aligns.
-			j := 0
-			for k, id := range s.ids {
-				for j < m && sc.ids[j] < id {
-					j++
-				}
-				if j >= m || sc.ids[j] != id {
-					continue
-				}
-				sc.pay[j] += s.pay[k]
-				sc.surp[j] += s.surp[k]
-				sc.cost[j] += s.cost[k]
-				sc.esur[j] += s.esur[k]
-			}
+			sc.addState(sc.ids, s)
 			if s.quote.Price > lo {
 				lo = s.quote.Price
 			}
 			hi += s.quote.Price
 		}
-		mq := e.pr.PriceMixedIn(e.ctx.psc, pricing.MixedOffer{
-			CurPay: sc.pay[:m], CurSurplus: sc.surp[:m], CurCost: sc.cost[:m], CurESurplus: sc.esur[:m],
-			WB: sc.vals, Lo: lo, Hi: hi, BundleCost: obj.UnitCost,
-			Obj: pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: obj.UnitCost},
-		})
+		mq := e.priceMixed(e.ctx.psc, sc, sc.vals, lo, hi, obj.UnitCost)
 		delta := mq.Utility - mq.BaselineUtility
 		if !mq.Feasible || delta <= minGain {
 			return nil, 0
@@ -218,35 +192,7 @@ func (e *engine) evalItemset(items []int, singles []*node) (*node, float64) {
 		// consumer re-resolving at the chosen price.
 		n := materialize(sc)
 		n.unitC = obj.UnitCost
-		n.pay = make([]float64, m)
-		n.surp = make([]float64, m)
-		n.cost = make([]float64, m)
-		n.esur = make([]float64, m)
-		alpha := e.params.Model.Alpha()
-		var pay, cost, sur float64
-		for j := range n.ids {
-			pj, prob, switched := e.pr.ResolveSwitch(n.vals[j], sc.pay[j], sc.surp[j], mq.Price)
-			n.pay[j] = pj
-			if switched {
-				n.cost[j] = n.unitC * prob
-				if s := alpha*n.vals[j] - mq.Price; s > 0 {
-					n.surp[j] = s
-					n.esur[j] = s * prob
-				}
-			} else {
-				n.surp[j] = sc.surp[j]
-				n.cost[j] = sc.cost[j]
-				n.esur[j] = sc.esur[j]
-			}
-			pay += pj
-			cost += n.cost[j]
-			sur += n.esur[j]
-		}
-		n.revenue = pay
-		n.profit = pay - cost
-		n.surplus = sur
-		n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
-		n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
+		e.commitMixed(n, sc, bundleQuote(mq), true)
 		for _, i := range items {
 			n.comps = append(n.comps, singles[i].asBundle())
 		}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"time"
 
+	"bundling/internal/obs"
 	"bundling/internal/wtp"
 )
 
@@ -34,11 +35,8 @@ func (e *engine) greedy() (*Configuration, error) {
 	}
 	trace := []IterationStat{{Iteration: 0, Revenue: total, Elapsed: time.Since(start), Bundles: len(nodes)}}
 
-	// version numbers invalidate heap entries when a node dies.
+	// Heap entries whose bundles have since died are skipped on pop.
 	h := &mergeHeap{}
-	push := func(i, j int, merged *node, gain float64) {
-		heap.Push(h, mergeCand{u: i, v: j, merged: merged, gain: gain})
-	}
 	alive := len(nodes)
 	// The run-to-end variant's alternative stopping condition (Sec. 5.3.2)
 	// needs every mergeable pair, not only the gaining ones: the algorithm
@@ -50,7 +48,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		return nil, err
 	}
 	for _, r := range first {
-		push(r.u, r.v, r.merged, r.gain)
+		heap.Push(h, r)
 	}
 	// Best-seen snapshot for the run-to-end variant.
 	bestTotal := total
@@ -75,7 +73,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		top := heap.Pop(h).(mergeCand)
+		top := heap.Pop(h).(pairResult)
 		if nodes[top.u].dead || nodes[top.v].dead {
 			continue
 		}
@@ -87,11 +85,12 @@ func (e *engine) greedy() (*Configuration, error) {
 		a.dead = true
 		bn.dead = true
 		alive--
+		merged := e.merge(a, bn, top.q)
 		newIdx := len(nodes)
-		nodes = append(nodes, top.merged)
+		nodes = append(nodes, merged)
 		// The gain is measured in seller utility; the trace reports the
 		// revenue delta (identical under the default objective).
-		total += top.merged.revenue - a.revenue - bn.revenue
+		total += merged.revenue - a.revenue - bn.revenue
 		trace = append(trace, IterationStat{Iteration: iteration, Revenue: total, Elapsed: time.Since(start), Bundles: alive})
 		if runToEnd && total > bestTotal {
 			bestTotal = total
@@ -103,13 +102,13 @@ func (e *engine) greedy() (*Configuration, error) {
 		// once; every merge re-prices up to N pairs).
 		jobs = jobs[:0]
 		for i := 0; i < newIdx; i++ {
-			if nodes[i].dead || !e.mergeable(nodes[i], top.merged) {
+			if nodes[i].dead || !e.mergeable(nodes[i], merged) {
 				continue
 			}
 			jobs = append(jobs, pairJob{u: i, v: newIdx})
 		}
 		for _, r := range e.evalPairs(nodes, jobs, runToEnd) {
-			push(r.u, r.v, r.merged, r.gain)
+			heap.Push(h, r)
 		}
 	}
 	if err := e.canceled(); err != nil {
@@ -117,6 +116,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		// nothing; surface the abort rather than a half-merged result.
 		return nil, err
 	}
+	obs.SpanFrom(e.reqCtx).Tag("built", e.built)
 	cfg := e.finish(nodes, iteration, trace)
 	if runToEnd && bestTotal > cfg.Revenue+minGain {
 		// Return the best configuration seen along the full merge path.
@@ -135,20 +135,13 @@ func (e *engine) greedy() (*Configuration, error) {
 	return cfg, nil
 }
 
-// mergeCand is a candidate merge with its revenue gain.
-type mergeCand struct {
-	u, v   int
-	merged *node
-	gain   float64
-}
-
-// mergeHeap is a max-heap of merge candidates by gain.
-type mergeHeap []mergeCand
+// mergeHeap is a max-heap of priced candidate merges by gain.
+type mergeHeap []pairResult
 
 func (h mergeHeap) Len() int            { return len(h) }
 func (h mergeHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
 func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(mergeCand)) }
+func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(pairResult)) }
 func (h *mergeHeap) Pop() interface{} {
 	old := *h
 	n := len(old)

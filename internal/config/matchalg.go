@@ -4,6 +4,8 @@ import (
 	"time"
 
 	"bundling/internal/matching"
+	"bundling/internal/obs"
+	"bundling/internal/pricing"
 	"bundling/internal/wtp"
 )
 
@@ -78,14 +80,15 @@ func (e *engine) matching() (*Configuration, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Collapse matched pairs. Matched-pair lookup goes through the
-		// candidate list since parallel edges cannot occur here.
+		// Collapse matched pairs, building each merged node from its
+		// candidate's quote. Matched-pair lookup goes through the candidate
+		// list since parallel edges cannot occur here.
 		mergedAny := false
 		next := nodes[:0:0]
 		taken := make([]bool, len(nodes))
-		byPair := make(map[[2]int]*node, len(cands))
+		byPair := make(map[[2]int]pricing.UtilityQuote, len(cands))
 		for _, c := range cands {
-			byPair[[2]int{c.u, c.v}] = c.merged
+			byPair[[2]int{c.u, c.v}] = c.q
 		}
 		for i, n := range nodes {
 			n.fresh = false
@@ -101,7 +104,7 @@ func (e *engine) matching() (*Configuration, error) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			m := byPair[[2]int{lo, hi}]
+			m := e.merge(nodes[lo], nodes[hi], byPair[[2]int{lo, hi}])
 			taken[i], taken[j] = true, true
 			next = append(next, m)
 			total += m.revenue - nodes[lo].revenue - nodes[hi].revenue
@@ -113,6 +116,7 @@ func (e *engine) matching() (*Configuration, error) {
 			break
 		}
 	}
+	obs.SpanFrom(e.reqCtx).Tag("built", e.built)
 	return e.finish(nodes, iteration, trace), nil
 }
 

@@ -53,9 +53,9 @@ type node struct {
 // mergeScratch holds the reusable buffers one evaluation thread needs to
 // price a candidate merge without allocating: the merged item list, the
 // merged interested-consumer vector, and (mixed bundling) the combined
-// per-consumer market state of the two parents. A node is materialized from
-// the scratch only when the candidate survives the gain filter, so the
-// O(N²) losing candidates cost zero heap churn.
+// per-consumer market state of the bundle's retained parts. Pricing a
+// candidate allocates nothing; merge builds a node only for a merge an
+// algorithm takes, so the O(N²) candidates cost zero heap churn.
 type mergeScratch struct {
 	items []int
 	ids   []int
@@ -74,6 +74,62 @@ func grow(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// resetState sizes the scratch market state to m consumers, all zero.
+func (sc *mergeScratch) resetState(m int) {
+	sc.pay, sc.surp, sc.cost, sc.esur = grow(sc.pay, m), grow(sc.surp, m), grow(sc.cost, m), grow(sc.esur, m)
+	clear(sc.pay)
+	clear(sc.surp)
+	clear(sc.cost)
+	clear(sc.esur)
+}
+
+// combineState sets the scratch market state, aligned with the union
+// sc.ids of a and b, to the two parents' combined state. It is addState for
+// exactly two parts in one pass, for the merge hot path.
+func (sc *mergeScratch) combineState(a, b *node) {
+	m := len(sc.ids)
+	sc.pay, sc.surp, sc.cost, sc.esur = grow(sc.pay, m), grow(sc.surp, m), grow(sc.cost, m), grow(sc.esur, m)
+	ja, jb := 0, 0
+	for j, id := range sc.ids {
+		var pay, surp, cost, esur float64
+		if ja < len(a.ids) && a.ids[ja] == id {
+			pay, surp, cost, esur = a.pay[ja], a.surp[ja], a.cost[ja], a.esur[ja]
+			ja++
+		}
+		if jb < len(b.ids) && b.ids[jb] == id {
+			pay += b.pay[jb]
+			surp += b.surp[jb]
+			cost += b.cost[jb]
+			esur += b.esur[jb]
+			jb++
+		}
+		sc.pay[j], sc.surp[j], sc.cost[j], sc.esur[j] = pay, surp, cost, esur
+	}
+}
+
+// addState adds part p's per-consumer market state into the scratch state,
+// which is aligned with ids: the ascending consumer axis of a bundle
+// containing p, so a superset of p.ids (every consumer interested in a
+// part is interested in the bundle).
+func (sc *mergeScratch) addState(ids []int, p *node) {
+	j := 0
+	for k, id := range p.ids {
+		for j < len(ids) && ids[j] < id {
+			j++
+		}
+		if j == len(ids) {
+			return
+		}
+		if ids[j] != id {
+			continue
+		}
+		sc.pay[j] += p.pay[k]
+		sc.surp[j] += p.surp[k]
+		sc.cost[j] += p.cost[k]
+		sc.esur[j] += p.esur[k]
+	}
+}
+
 // objective assembles the pricing objective for a bundle: the configured
 // profit weight α and the bundle's summed unit cost.
 func (e *engine) objective(items []int) pricing.Objective {
@@ -90,10 +146,7 @@ func (e *engine) objective(items []int) pricing.Objective {
 // standalone quote: each consumer's expected payment at the node's price,
 // the deterministic surplus of buying it, and the cost/surplus expectations.
 func (e *engine) initState(n *node) {
-	n.pay = make([]float64, len(n.ids))
-	n.surp = make([]float64, len(n.ids))
-	n.cost = make([]float64, len(n.ids))
-	n.esur = make([]float64, len(n.ids))
+	n.allocState()
 	model := e.params.Model
 	alpha := model.Alpha()
 	var pay, cost, sur float64
@@ -109,10 +162,73 @@ func (e *engine) initState(n *node) {
 		cost += n.cost[j]
 		sur += n.esur[j]
 	}
+	e.setTotals(n, pay, cost, sur)
+}
+
+// allocState gives n zeroed per-consumer market state, one backing array
+// for its four vectors.
+func (n *node) allocState() {
+	m := len(n.ids)
+	buf := make([]float64, 4*m)
+	n.pay, n.surp, n.cost, n.esur = buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m], buf[3*m:]
+}
+
+// setTotals stores a mixed-bundling node's subtree totals from its summed
+// expected payment, serving cost and consumer surplus.
+func (e *engine) setTotals(n *node, pay, cost, sur float64) {
 	n.revenue = pay
 	n.profit = pay - cost
 	n.surplus = sur
 	n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
+}
+
+// commitMixed stores node n's mixed-bundling state with its bundle on sale
+// at quote q, or with no bundle on sale when !sell: every consumer
+// re-resolves by the upgrade rule against cur, their combined state under
+// the offers n retains (aligned with n.ids), and n's subtree totals are
+// summed from the result.
+func (e *engine) commitMixed(n *node, cur *mergeScratch, q pricing.Quote, sell bool) {
+	n.allocState()
+	alpha := e.params.Model.Alpha()
+	var pay, cost, sur float64
+	for j := range n.ids {
+		pj, prob, switched := cur.pay[j], 0.0, false
+		if sell {
+			pj, prob, switched = e.pr.ResolveSwitch(n.vals[j], cur.pay[j], cur.surp[j], q.Price)
+		}
+		n.pay[j] = pj
+		if switched {
+			n.cost[j] = n.unitC * prob
+			if s := alpha*n.vals[j] - q.Price; s > 0 {
+				n.surp[j] = s
+				n.esur[j] = s * prob
+			}
+		} else {
+			n.surp[j], n.cost[j], n.esur[j] = cur.surp[j], cur.cost[j], cur.esur[j]
+		}
+		pay += pj
+		cost += n.cost[j]
+		sur += n.esur[j]
+	}
+	n.quote = q
+	e.setTotals(n, pay, cost, sur)
+}
+
+// priceMixed prices a bundle with consumer WTPs wb over its disjoint
+// retained parts (the paper's incremental policy): cur holds the parts'
+// combined per-consumer state, and (lo, hi) is the price window.
+func (e *engine) priceMixed(psc *pricing.Scratch, cur *mergeScratch, wb []float64, lo, hi, unitC float64) pricing.MixedQuote {
+	return e.pr.PriceMixedIn(psc, pricing.MixedOffer{
+		CurPay: cur.pay, CurSurplus: cur.surp, CurCost: cur.cost, CurESurplus: cur.esur,
+		WB: wb, Lo: lo, Hi: hi, BundleCost: unitC,
+		Obj: pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: unitC},
+	})
+}
+
+// bundleQuote is the quote a mixed-bundling node carries: its bundle price
+// and the revenue it adds over its parts (the paper's "Add. revenue").
+func bundleQuote(mq pricing.MixedQuote) pricing.Quote {
+	return pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
 }
 
 // mergeable applies the size cap and the paper's common-interest pruning.
@@ -141,46 +257,73 @@ func (e *engine) vectorScale(n *node) float64 {
 	return 1
 }
 
-// evalMerge prices the merge of a and b and returns the candidate merged
-// node along with the utility gain over keeping a and b as they are. The
-// returned node is fully formed but not yet inserted anywhere. A nil node
-// means the merge is infeasible or (unless keepAll) not gaining.
-func (e *engine) evalMerge(a, b *node, keepAll bool) (*node, float64) {
-	return e.evalMergeWith(e.ctx, a, b, keepAll)
+// mergeVector builds the merged bundle's interested-consumer vector into
+// the dst slices: through the parents' cached vectors on the stripe
+// executor, or by a postings rescan on the reference path.
+func (e *engine) mergeVector(a, b *node, items []int, dstIDs []int, dstVals []float64) ([]int, []float64) {
+	if e.incremental {
+		return e.exec.UnionVectors(e.reqCtx, a.ids, a.vals, e.vectorScale(a), b.ids, b.vals, e.vectorScale(b), dstIDs, dstVals)
+	}
+	return e.w.BundleVector(items, e.params.Theta, dstIDs, dstVals)
 }
 
-// evalMergeWith is evalMerge with an explicit worker context, so concurrent
-// evaluations each own their scratch (the shared Pricer is stateless). The
-// candidate is priced entirely in scratch; a node is allocated only when it
-// survives the gain filter (or keepAll is set, for the greedy run-to-end
-// variant that needs non-gaining candidates too).
-func (e *engine) evalMergeWith(ctx *workerCtx, a, b *node, keepAll bool) (*node, float64) {
+// evalMerge prices the merge of a and b entirely in ctx's scratch, so
+// concurrent evaluations each own their buffers (the shared Pricer is
+// stateless). It returns the merge's quote and its utility gain over
+// keeping a and b as they are; ok is false when the merge is infeasible or,
+// unless keepAll (the greedy run-to-end variant needs non-gaining
+// candidates too), not gaining. Under mixed bundling the quote carries
+// only the bundle's node quote (see bundleQuote). No node is built: merge
+// builds it from the quote once an algorithm takes the pair.
+func (e *engine) evalMerge(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.UtilityQuote, gain float64, ok bool) {
 	sc := ctx.sc
 	sc.items = mergeItemsInto(sc.items, a.items, b.items)
-	if e.incremental {
-		sc.ids, sc.vals = e.exec.UnionVectors(e.reqCtx, a.ids, a.vals, e.vectorScale(a), b.ids, b.vals, e.vectorScale(b), sc.ids, sc.vals)
-	} else {
-		sc.ids, sc.vals = e.w.BundleVector(sc.items, e.params.Theta, sc.ids, sc.vals)
-	}
+	sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
 	obj := e.objective(sc.items)
-	switch e.params.Strategy {
-	case Pure:
-		uq := e.pr.PriceUtilityIn(ctx.psc, sc.vals, obj)
-		gain := uq.Utility - a.util - b.util
-		if !keepAll && gain <= minGain {
-			return nil, gain
-		}
-		n := materialize(sc)
-		n.quote = uq.Quote
-		n.unitC = obj.UnitCost
-		n.revenue, n.profit, n.surplus, n.util = uq.Revenue, uq.Profit, uq.Surplus, uq.Utility
-		return n, gain
-	default:
-		return e.evalMergeMixed(ctx, obj.UnitCost, a, b)
+	if e.params.Strategy == Pure {
+		q = e.pr.PriceUtilityIn(ctx.psc, sc.vals, obj)
+		gain = q.Utility - a.util - b.util
+		return q, gain, keepAll || gain > minGain
 	}
+	// Mixed: price the new bundle against the combined current state of
+	// both subtrees (their offers are item-disjoint, so states add), within
+	// the paper's price window (max component price, sum of component
+	// prices).
+	sc.combineState(a, b)
+	mq := e.priceMixed(ctx.psc, sc, sc.vals, max(a.quote.Price, b.quote.Price), a.quote.Price+b.quote.Price, obj.UnitCost)
+	gain = mq.Utility - mq.BaselineUtility
+	if !mq.Feasible || gain <= minGain {
+		return q, 0, false
+	}
+	return pricing.UtilityQuote{Quote: bundleQuote(mq)}, gain, true
 }
 
-// materialize copies a surviving scratch candidate into a fresh node; the
+// merge builds the merged node of a and b from the quote evalMerge priced
+// it at, for a merge an algorithm takes. The union is re-derived through
+// the stripe executor and, under mixed bundling, every consumer re-resolves
+// at the quoted price; pricing is deterministic, so the node is exactly the
+// candidate evalMerge priced.
+func (e *engine) merge(a, b *node, q pricing.UtilityQuote) *node {
+	e.built++
+	sc := e.ctx.sc
+	sc.items = mergeItemsInto(sc.items, a.items, b.items)
+	sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
+	n := materialize(sc)
+	n.unitC = e.objective(n.items).UnitCost
+	if e.params.Strategy == Pure {
+		n.quote = q.Quote
+		n.revenue, n.profit, n.surplus, n.util = q.Revenue, q.Profit, q.Surplus, q.Utility
+		return n
+	}
+	sc.combineState(a, b)
+	e.commitMixed(n, sc, q.Quote, true)
+	n.comps = append(n.comps, a.comps...)
+	n.comps = append(n.comps, b.comps...)
+	n.comps = append(n.comps, a.asBundle(), b.asBundle())
+	return n
+}
+
+// materialize copies a scratch candidate into a fresh node; the
 // strategy-specific pricing state is filled in by the caller.
 func materialize(sc *mergeScratch) *node {
 	return &node{
@@ -189,92 +332,6 @@ func materialize(sc *mergeScratch) *node {
 		vals:  append([]float64(nil), sc.vals...),
 		fresh: true,
 	}
-}
-
-// evalMergeMixed prices the new bundle against the combined current state
-// of both subtrees (their offers are item-disjoint, so states add), within
-// the paper's price window (max component price, sum of component prices).
-// The combined state is built in one pass over the union ids directly from
-// both parents' aligned vectors into the scratch buffers.
-func (e *engine) evalMergeMixed(ctx *workerCtx, unitC float64, a, b *node) (*node, float64) {
-	sc := ctx.sc
-	m := len(sc.ids)
-	sc.pay = grow(sc.pay, m)
-	sc.surp = grow(sc.surp, m)
-	sc.cost = grow(sc.cost, m)
-	sc.esur = grow(sc.esur, m)
-	ja, jb := 0, 0
-	for j, id := range sc.ids {
-		var p0, s0, c0, e0 float64
-		if ja < len(a.ids) && a.ids[ja] == id {
-			p0, s0, c0, e0 = a.pay[ja], a.surp[ja], a.cost[ja], a.esur[ja]
-			ja++
-		}
-		if jb < len(b.ids) && b.ids[jb] == id {
-			p0 += b.pay[jb]
-			s0 += b.surp[jb]
-			c0 += b.cost[jb]
-			e0 += b.esur[jb]
-			jb++
-		}
-		sc.pay[j], sc.surp[j], sc.cost[j], sc.esur[j] = p0, s0, c0, e0
-	}
-	lo := a.quote.Price
-	if b.quote.Price > lo {
-		lo = b.quote.Price
-	}
-	mq := e.pr.PriceMixedIn(ctx.psc, pricing.MixedOffer{
-		CurPay:      sc.pay,
-		CurSurplus:  sc.surp,
-		CurCost:     sc.cost,
-		CurESurplus: sc.esur,
-		WB:          sc.vals,
-		Lo:          lo,
-		Hi:          a.quote.Price + b.quote.Price,
-		BundleCost:  unitC,
-		Obj:         pricing.Objective{ProfitWeight: e.params.ProfitWeight, UnitCost: unitC},
-	})
-	delta := mq.Utility - mq.BaselineUtility
-	if !mq.Feasible || delta <= minGain {
-		return nil, 0
-	}
-	// The candidate survives: materialize the node and commit the new
-	// state, every consumer re-resolving at the chosen price.
-	n := materialize(sc)
-	n.unitC = unitC
-	n.pay = make([]float64, m)
-	n.surp = make([]float64, m)
-	n.cost = make([]float64, m)
-	n.esur = make([]float64, m)
-	alpha := e.params.Model.Alpha()
-	var pay, cost, sur float64
-	for j := range n.ids {
-		pj, prob, switched := e.pr.ResolveSwitch(n.vals[j], sc.pay[j], sc.surp[j], mq.Price)
-		n.pay[j] = pj
-		if switched {
-			n.cost[j] = n.unitC * prob
-			if s := alpha*n.vals[j] - mq.Price; s > 0 {
-				n.surp[j] = s
-				n.esur[j] = s * prob
-			}
-		} else {
-			n.surp[j] = sc.surp[j]
-			n.cost[j] = sc.cost[j]
-			n.esur[j] = sc.esur[j]
-		}
-		pay += n.pay[j]
-		cost += n.cost[j]
-		sur += n.esur[j]
-	}
-	n.revenue = pay
-	n.profit = pay - cost
-	n.surplus = sur
-	n.util = e.params.ProfitWeight*n.profit + (1-e.params.ProfitWeight)*n.surplus
-	n.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
-	n.comps = append(n.comps, a.comps...)
-	n.comps = append(n.comps, b.comps...)
-	n.comps = append(n.comps, a.asBundle(), b.asBundle())
-	return n, delta
 }
 
 // asBundle converts a node to its output Bundle form. For a mixed-bundling
@@ -344,18 +401,4 @@ func idsIntersect(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-// alignVals scatters (srcIDs, srcVals) onto the consumer axis given by
-// unionIDs (ascending, a superset of srcIDs), filling gaps with zero.
-func alignVals(unionIDs, srcIDs []int, srcVals []float64) []float64 {
-	out := make([]float64, len(unionIDs))
-	j := 0
-	for i, id := range unionIDs {
-		if j < len(srcIDs) && srcIDs[j] == id {
-			out[i] = srcVals[j]
-			j++
-		}
-	}
-	return out
 }

@@ -27,11 +27,13 @@ type pairJob struct {
 	u, v int
 }
 
-// pairResult is the outcome of evaluating one candidate merge.
+// pairResult is a priced candidate merge: the quote evalMerge priced it at
+// and its utility gain. It carries no node; merge builds one from the quote
+// when an algorithm takes the pair.
 type pairResult struct {
-	u, v   int
-	merged *node
-	gain   float64
+	u, v int
+	q    pricing.UtilityQuote
+	gain float64
 }
 
 // workerCtx is one evaluation thread's private scratch: the merge buffers
@@ -47,7 +49,9 @@ type workerCtx struct {
 // a handful of times per batch instead of once per job. Results are keyed
 // by job index, making the output deterministic regardless of worker count.
 // Infeasible candidates are dropped; non-gaining ones too, unless keepAll
-// (the greedy run-to-end variant needs every mergeable pair).
+// (the greedy run-to-end variant needs every mergeable pair). The
+// price_candidates span records the pairs priced and the candidates kept
+// (gaining).
 func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairResult {
 	if len(jobs) == 0 {
 		return nil
@@ -67,14 +71,16 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 				// check, so partial results are never acted on.
 				return out
 			}
-			if merged, gain := e.evalMerge(nodes[j.u], nodes[j.v], keepAll); merged != nil {
-				out = append(out, pairResult{u: j.u, v: j.v, merged: merged, gain: gain})
+			if q, gain, ok := e.evalMerge(e.ctx, nodes[j.u], nodes[j.v], keepAll); ok {
+				out = append(out, pairResult{u: j.u, v: j.v, q: q, gain: gain})
 			}
 		}
+		sp.Tag("gaining", len(out))
 		return out
 	}
 	ws := e.workerPool(workers)
 	results := make([]pairResult, len(jobs))
+	kept := make([]bool, len(jobs))
 	chunk := len(jobs)/(workers*8) + 1
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -98,19 +104,21 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 				}
 				for idx := start; idx < end; idx++ {
 					j := jobs[idx]
-					if merged, gain := e.evalMergeWith(ctx, nodes[j.u], nodes[j.v], keepAll); merged != nil {
-						results[idx] = pairResult{u: j.u, v: j.v, merged: merged, gain: gain}
+					if q, gain, ok := e.evalMerge(ctx, nodes[j.u], nodes[j.v], keepAll); ok {
+						results[idx] = pairResult{u: j.u, v: j.v, q: q, gain: gain}
+						kept[idx] = true
 					}
 				}
 			}
 		}(ws[w])
 	}
 	wg.Wait()
-	out := make([]pairResult, 0, len(jobs))
-	for _, r := range results {
-		if r.merged != nil {
+	out := results[:0]
+	for i, r := range results {
+		if kept[i] {
 			out = append(out, r)
 		}
 	}
+	sp.Tag("gaining", len(out))
 	return out
 }

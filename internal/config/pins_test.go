@@ -1,0 +1,117 @@
+package config
+
+import (
+	"math"
+	"testing"
+
+	"bundling/internal/dataset"
+	"bundling/internal/wtp"
+)
+
+// benchCorpus generates the bench-scale corpus of cmd/bundlebench (600
+// users × 150 items, seed 42, λ = 1.25) and the 4-cell delta its Resolve
+// rows apply: one cell in each quarter of the items, raising the item's
+// first posting by half.
+func benchCorpus(t testing.TB) (*wtp.Matrix, []wtp.Cell) {
+	t.Helper()
+	ds, err := dataset.Generate(dataset.GenConfig{Users: 600, Items: 150, RatingsPerUser: 18, MinDegree: 5, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ds.WTP(1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cells []wtp.Cell
+	for k := 0; k < 4; k++ {
+		item := k * ds.Items / 4
+		if post := w.Postings(item); len(post) > 0 {
+			cells = append(cells, wtp.Cell{Consumer: post[0].Consumer, Item: item, Value: 1.5 * post[0].Value})
+		}
+	}
+	return w, cells
+}
+
+// TestBenchScaleRevenuePins pins the bench-scale revenues of the pair-based
+// algorithms bit for bit, on a fresh session and on the session the 4-cell
+// delta derives from a solved one. Pricing and merge-building changes must
+// leave every one of them unchanged.
+func TestBenchScaleRevenuePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench-scale solves")
+	}
+	w, cells := benchCorpus(t)
+	pins := []struct {
+		strategy     Strategy
+		alg          Algorithm
+		fresh, patch float64
+	}{
+		{Pure, Optimal2Algorithm(), 87454.757499999963, 87448.029037499975},
+		{Pure, MatchingAlgorithm(), 87454.757499999963, 87448.029037499975},
+		{Pure, GreedyAlgorithm(), 87454.757499999963, 87448.029037499975},
+		{Mixed, Optimal2Algorithm(), 89798.953094059398, 89783.358405940584},
+		{Mixed, MatchingAlgorithm(), 90871.082181208913, 90814.871765705102},
+		{Mixed, GreedyAlgorithm(), 90872.921016997017, 90788.145509797891},
+	}
+	for _, pin := range pins {
+		params := DefaultParams()
+		params.Strategy = pin.strategy
+		s, err := NewSolver(w, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := pin.strategy.String() + "/" + pin.alg.Name()
+		cfg, err := s.Solve(pin.alg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if math.Float64bits(cfg.Revenue) != math.Float64bits(pin.fresh) {
+			t.Errorf("%s: revenue %.17g, pinned %.17g", label, cfg.Revenue, pin.fresh)
+		}
+		next, err := s.ApplyDelta(cells, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err = next.Solve(pin.alg); err != nil {
+			t.Fatalf("%s after delta: %v", label, err)
+		}
+		if math.Float64bits(cfg.Revenue) != math.Float64bits(pin.patch) {
+			t.Errorf("%s after delta: revenue %.17g, pinned %.17g", label, cfg.Revenue, pin.patch)
+		}
+	}
+}
+
+// TestMixedResolveAllocs bounds the allocations of a mixed Optimal2
+// re-solve (the 4-cell delta, then the derived session's first solve).
+// Pricing a candidate merge allocates nothing and only the merges the
+// matching takes build a node, so the count tracks merges taken, not
+// candidates priced: about 2,600 allocations, where building every gaining
+// candidate eagerly cost about 46,000.
+func TestMixedResolveAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bench-scale solves")
+	}
+	w, cells := benchCorpus(t)
+	params := DefaultParams()
+	params.Strategy = Mixed
+	base, err := NewSolver(w, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := base.Solve(Optimal2Algorithm()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		next, err := base.ApplyDelta(cells, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := next.Solve(Optimal2Algorithm()); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("mixed optimal2 re-solve: %.0f allocs/op", allocs)
+	if allocs > 10000 {
+		t.Errorf("mixed optimal2 re-solve: %.0f allocs/op, want at most 10000", allocs)
+	}
+}

@@ -410,3 +410,52 @@ func TestRoundMemoConcurrentFirstSolves(t *testing.T) {
 		})
 	}
 }
+
+// TestSolveSpanCountsBuilt checks the engine's merge counters: the solve
+// span's built tag counts the merged nodes a run builds, one per merge
+// taken, so items − bundles for every pair-based algorithm; and every
+// price_candidates span's gaining tag counts the candidates that passed the
+// gain filter, at most the pairs it priced and together at least the
+// merges built.
+func TestSolveSpanCountsBuilt(t *testing.T) {
+	const items = 14
+	w := equivMatrix(t, 911, 60, items, 0.3)
+	for _, strategy := range []Strategy{Pure, Mixed} {
+		params := DefaultParams()
+		params.Strategy = strategy
+		s, err := NewSolver(w, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range pairAlgorithms() {
+			label := fmt.Sprintf("%v/%s", strategy, a.Name())
+			tr := obs.NewTrace("", 0)
+			cfg, err := s.SolveContext(obs.ContextWithTrace(context.Background(), tr), a)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			built, gaining := -1, 0
+			for _, sp := range tr.Finish().Spans {
+				tags := map[string]int{}
+				for _, tag := range sp.Tags {
+					tags[tag.Key], _ = strconv.Atoi(tag.Value)
+				}
+				switch sp.Name {
+				case "solve":
+					built = tags["built"]
+				case "price_candidates":
+					if tags["gaining"] > tags["pairs"] {
+						t.Errorf("%s: %d gaining of %d pairs priced", label, tags["gaining"], tags["pairs"])
+					}
+					gaining += tags["gaining"]
+				}
+			}
+			if want := items - len(cfg.Bundles); built != want || want == 0 {
+				t.Errorf("%s: built = %d, want %d merges taken", label, built, want)
+			}
+			if gaining < built {
+				t.Errorf("%s: %d gaining candidates, fewer than %d merges built", label, gaining, built)
+			}
+		}
+	}
+}

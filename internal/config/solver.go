@@ -255,6 +255,7 @@ type engine struct {
 	// borrowed are the extra worker contexts this run's evalPairs rounds
 	// took from the pool; released with the engine.
 	borrowed []*workerCtx
+	built    int // merged nodes built (merges taken)
 }
 
 // newEngine opens a run on the session with no cancellation.

@@ -1,6 +1,7 @@
 package pricing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,36 +12,52 @@ import (
 // referencePriceMixed is the O(m·T) per-level rescan the deterministic
 // sweep replaced; the fast path must reproduce it exactly.
 func referencePriceMixed(p *Pricer, off MixedOffer) MixedQuote {
-	if (off.Obj == Objective{}) {
-		off.Obj = RevenueObjective()
-	}
-	var q MixedQuote
-	var basePay, baseCost, baseSur float64
-	for j, pay := range off.CurPay {
-		basePay += pay
-		baseCost += at0(off.CurCost, j)
-		baseSur += at0(off.CurESurplus, j)
-	}
-	q.Baseline = basePay
-	q.Revenue = basePay
-	q.BaselineUtility = off.Obj.ProfitWeight*(basePay-baseCost) + (1-off.Obj.ProfitWeight)*baseSur
-	q.Utility = q.BaselineUtility
-	q.Surplus = baseSur
+	q := referenceBaseline(off)
 	if off.Hi <= off.Lo {
 		return q
 	}
 	T := p.levels
 	for t := 1; t <= T; t++ {
 		pb := off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)
-		rev, cost, sur, adopters := p.offerOutcome(off, pb)
-		util := off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
-		if util > q.Utility {
-			q.Price, q.Revenue, q.Adopters = pb, rev, adopters
-			q.Utility, q.Surplus = util, sur
-			q.Feasible = true
+		if at := referenceAt(p, off, q, pb); at.Utility > q.Utility {
+			q = at
 		}
 	}
 	return q
+}
+
+// referenceObjective is the offer's objective, the default when unset.
+func referenceObjective(off MixedOffer) Objective {
+	if (off.Obj == Objective{}) {
+		return RevenueObjective()
+	}
+	return off.Obj
+}
+
+// referenceBaseline is the quote of the offer with no bundle on sale.
+func referenceBaseline(off MixedOffer) MixedQuote {
+	obj := referenceObjective(off)
+	var basePay, baseCost, baseSur float64
+	for j, pay := range off.CurPay {
+		basePay += pay
+		baseCost += at0(off.CurCost, j)
+		baseSur += at0(off.CurESurplus, j)
+	}
+	q := MixedQuote{Revenue: basePay, Baseline: basePay, Surplus: baseSur}
+	q.BaselineUtility = obj.ProfitWeight*(basePay-baseCost) + (1-obj.ProfitWeight)*baseSur
+	q.Utility = q.BaselineUtility
+	return q
+}
+
+// referenceAt is the quote base with the bundle on sale at pb, evaluated
+// consumer by consumer.
+func referenceAt(p *Pricer, off MixedOffer, base MixedQuote, pb float64) MixedQuote {
+	obj := referenceObjective(off)
+	rev, cost, sur, adopters := p.offerOutcome(off, pb)
+	base.Price, base.Revenue, base.Adopters, base.Surplus = pb, rev, adopters, sur
+	base.Utility = obj.ProfitWeight*(rev-cost) + (1-obj.ProfitWeight)*sur
+	base.Feasible = true
+	return base
 }
 
 // randomMixedOffer fabricates a plausible offer state: per-consumer bundle
@@ -79,40 +96,194 @@ func randomMixedOffer(rng *rand.Rand, m int, withCosts bool) MixedOffer {
 	return off
 }
 
-// TestPriceMixedStepMatchesReference cross-checks the O(m log m + T)
-// threshold sweep against the per-level rescan across random offers,
-// including the ε tie window and non-default objectives.
-func TestPriceMixedStepMatchesReference(t *testing.T) {
-	p := Default()
-	if !p.Model().Deterministic() {
-		t.Fatal("default model should be deterministic")
+// starMixedOffer mimics the bench corpus: two items whose WTPs are
+// λ·list·stars/5 for whole stars, each priced at one of its WTP levels.
+// Consumers buy every item they can afford, so many share one state and tie
+// in τ. The bundle's window is (max item price, sum of item prices).
+func starMixedOffer(rng *rand.Rand, m int) MixedOffer {
+	off := MixedOffer{
+		CurPay:     make([]float64, m),
+		CurSurplus: make([]float64, m),
+		WB:         make([]float64, m),
 	}
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 300; trial++ {
-		m := 1 + rng.Intn(50)
-		withCosts := trial%3 == 0
-		off := randomMixedOffer(rng, m, withCosts)
-		if withCosts {
-			off.BundleCost = rng.Float64() * 3
-			off.Obj = Objective{ProfitWeight: 0.6, UnitCost: off.BundleCost}
-		}
-		got := p.PriceMixed(off)
-		want := referencePriceMixed(p, off)
-		if got.Feasible != want.Feasible {
-			t.Fatalf("trial %d: feasible = %v, reference %v", trial, got.Feasible, want.Feasible)
-		}
-		check := func(name string, g, w float64) {
-			if math.Abs(g-w) > 1e-9 {
-				t.Fatalf("trial %d: %s = %.15g, reference %.15g", trial, name, g, w)
+	var list, price [2]float64
+	for i := range list {
+		list[i] = 1 + float64(rng.Intn(2000))/100
+		price[i] = 1.25 * list[i] * float64(1+rng.Intn(5)) / 5
+	}
+	for j := 0; j < m; j++ {
+		for i := range list {
+			w := 1.25 * list[i] * float64(rng.Intn(6)) / 5
+			off.WB[j] += w
+			if w > 0 && w >= price[i] {
+				off.CurPay[j] += price[i]
+				off.CurSurplus[j] += w - price[i]
 			}
 		}
-		check("price", got.Price, want.Price)
-		check("revenue", got.Revenue, want.Revenue)
-		check("baseline", got.Baseline, want.Baseline)
-		check("adopters", got.Adopters, want.Adopters)
-		check("utility", got.Utility, want.Utility)
-		check("surplus", got.Surplus, want.Surplus)
 	}
+	off.Lo, off.Hi = max(price[0], price[1]), price[0]+price[1]
+	return off
+}
+
+// edgeMixedOffer places consumers on the sweep's boundaries for T levels:
+// τ exactly at a level price, exactly 2ε either side of it, one ulp beyond
+// either 2ε bound, above Hi and below Lo. Current surplus is zero, so τ is
+// the bundle WTP itself. With narrow set the window is so tight that the
+// level spacing is below 4ε, and a consumer sits in the tie windows of
+// several levels.
+func edgeMixedOffer(rng *rand.Rand, T, m int, narrow bool) MixedOffer {
+	const eps = adoption.DefaultEpsilon
+	off := MixedOffer{
+		CurPay:     make([]float64, m),
+		CurSurplus: make([]float64, m),
+		WB:         make([]float64, m),
+		Lo:         5 + rng.Float64()*10,
+	}
+	off.Hi = off.Lo + 1 + rng.Float64()*10
+	if narrow {
+		off.Hi = off.Lo + rng.Float64()*4*eps*float64(T+1)
+	}
+	for j := 0; j < m; j++ {
+		pb := off.Lo + (off.Hi-off.Lo)*float64(1+rng.Intn(T))/float64(T+1)
+		var tau float64
+		switch rng.Intn(8) {
+		case 0:
+			tau = pb
+		case 1:
+			tau = pb + 2*eps
+		case 2:
+			tau = pb - 2*eps
+		case 3:
+			tau = math.Nextafter(pb+2*eps, math.Inf(1))
+		case 4:
+			tau = math.Nextafter(pb-2*eps, math.Inf(-1))
+		case 5:
+			tau = off.Hi + rng.Float64()*5
+		case 6:
+			tau = off.Lo * rng.Float64()
+		default:
+			tau = off.Lo + rng.Float64()*(off.Hi-off.Lo)
+		}
+		off.WB[j] = tau
+		// Paying the full WTP makes a tie-window switch hinge on the
+		// payment comparison of ResolveSwitch.
+		off.CurPay[j] = tau
+		if rng.Intn(2) == 0 {
+			off.CurPay[j] *= rng.Float64()
+		}
+	}
+	return off
+}
+
+// shapedMixedOffer draws an offer of the given shape: random states, the
+// star-discretized corpus, or consumers on the level boundaries in a wide
+// or a narrow window. Random states may carry costs and a non-default
+// objective.
+func shapedMixedOffer(rng *rand.Rand, T, m, shape int) MixedOffer {
+	switch shape % 5 {
+	case 1:
+		off := randomMixedOffer(rng, m, true)
+		off.BundleCost = rng.Float64() * 3
+		off.Obj = Objective{ProfitWeight: 0.6, UnitCost: off.BundleCost}
+		return off
+	case 2:
+		return starMixedOffer(rng, m)
+	case 3:
+		return edgeMixedOffer(rng, T, m, false)
+	case 4:
+		return edgeMixedOffer(rng, T, m, true)
+	}
+	return randomMixedOffer(rng, m, false)
+}
+
+// mixedQuoteMismatch checks the sweep's quote for off against the
+// reference: Price and Feasible exactly, every other field within 1e-9,
+// relative above 1 because the two paths add up to 2,000 consumers in
+// different orders. It returns "" on a match. The one exemption is an exact tie, where only
+// summation order decides: the star-discretized corpus has offers whose
+// best level gains exactly nothing in real arithmetic (17 switchers at
+// pb_11 of T = 16 paying 6·Lo + 11·Hi between them), and there the
+// reference's rounding may read a gain of 1e-14 that the sweep's does not.
+// So when the choices differ, the reference's own evaluation of the
+// sweep's choice must reach the reference optimum within 1e-9, and the
+// sweep's fields are held to that evaluation.
+func mixedQuoteMismatch(p *Pricer, off MixedOffer, got MixedQuote) string {
+	want := referencePriceMixed(p, off)
+	if got.Price != want.Price || got.Feasible != want.Feasible {
+		at := referenceBaseline(off)
+		if got.Feasible {
+			at = referenceAt(p, off, at, got.Price)
+		}
+		if math.Abs(at.Utility-want.Utility) > 1e-9 {
+			return fmt.Sprintf("price %.17g feasible %v, reference %.17g %v", got.Price, got.Feasible, want.Price, want.Feasible)
+		}
+		want = at
+	}
+	for _, f := range []struct {
+		name string
+		g, w float64
+	}{
+		{"revenue", got.Revenue, want.Revenue},
+		{"baseline", got.Baseline, want.Baseline},
+		{"adopters", got.Adopters, want.Adopters},
+		{"utility", got.Utility, want.Utility},
+		{"baseline utility", got.BaselineUtility, want.BaselineUtility},
+		{"surplus", got.Surplus, want.Surplus},
+	} {
+		if math.Abs(f.g-f.w) > 1e-9*max(1, math.Abs(f.w)) {
+			return fmt.Sprintf("%s = %.15g, reference %.15g", f.name, f.g, f.w)
+		}
+	}
+	return ""
+}
+
+// TestPriceMixedStepMatchesReference cross-checks the O(m + T) level-bucket
+// sweep against the per-level rescan for T of 1, 2, 100 and 1,000 and up to
+// 2,000 consumers, over random states (with costs and a non-default
+// objective), star-discretized WTPs that tie in τ, and τ on the level
+// boundaries and their ε tie windows, including windows narrow enough that
+// the tie windows of neighbouring levels overlap.
+func TestPriceMixedStepMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, T := range []int{1, 2, 100, 1000} {
+		p, err := New(adoption.Default(), T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			m := 1 + rng.Intn(50)
+			if trial%20 == 0 {
+				m = 1 + rng.Intn(2000)
+			}
+			off := shapedMixedOffer(rng, T, m, trial)
+			if msg := mixedQuoteMismatch(p, off, p.PriceMixed(off)); msg != "" {
+				t.Fatalf("T=%d trial %d (shape %d, m=%d): %s", T, trial, trial%5, m, msg)
+			}
+		}
+	}
+}
+
+// FuzzPriceMixedStep holds the sweep to the reference rule of
+// TestPriceMixedStepMatchesReference over fuzzed seeds, level counts,
+// consumer counts and offer shapes.
+func FuzzPriceMixedStep(f *testing.F) {
+	for shape := uint8(0); shape < 5; shape++ {
+		f.Add(int64(shape), uint16(100), uint16(40), shape)
+	}
+	f.Add(int64(7), uint16(1), uint16(2000), uint8(2))
+	f.Add(int64(9), uint16(1000), uint16(300), uint8(4))
+	f.Fuzz(func(t *testing.T, seed int64, levels, consumers uint16, shape uint8) {
+		T := 1 + int(levels)%1000
+		m := 1 + int(consumers)%2000
+		p, err := New(adoption.Default(), T)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := shapedMixedOffer(rand.New(rand.NewSource(seed)), T, m, int(shape))
+		if msg := mixedQuoteMismatch(p, off, p.PriceMixed(off)); msg != "" {
+			t.Fatalf("T=%d m=%d shape %d seed %d: %s", T, m, shape%5, seed, msg)
+		}
+	})
 }
 
 // TestPriceMixedStepTieWindow pins the ε tie-break semantics: a consumer

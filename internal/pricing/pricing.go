@@ -11,10 +11,8 @@
 package pricing
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
-	"slices"
 	"sync"
 
 	"bundling/internal/adoption"
@@ -22,6 +20,10 @@ import (
 
 // DefaultLevels is the paper's default number of price levels T.
 const DefaultLevels = 100
+
+// MaxLevels caps T. Every pricing scratch holds O(T) level buffers, so an
+// unbounded T from outside the program could make each one gigabytes.
+const MaxLevels = 1 << 16
 
 // bucketSlack absorbs float rounding when hashing a WTP equal to a grid
 // price into its bucket, so "w == p adopts" survives discretization.
@@ -45,8 +47,8 @@ type Pricer struct {
 }
 
 // Scratch holds the working buffers one pricing call needs: the WTP
-// histogram of the Sec. 4.2 price search and the event arrays of the
-// deterministic mixed-bundling sweep. A Scratch may be reused across any
+// histogram of the Sec. 4.2 price search and the price-level buckets of
+// the deterministic mixed-bundling sweep. A Scratch may be reused across any
 // number of calls but must not be shared between concurrent ones; solvers
 // typically pool one per worker.
 type Scratch struct {
@@ -54,12 +56,9 @@ type Scratch struct {
 	fcounts []float64
 	fsums   []float64
 	mids    []float64
-	// buffers of the deterministic PriceMixed sweep.
-	events []switchEvent
-	utilB  []float64
-	revB   []float64
-	surB   []float64
-	adB    []float64
+	// mix holds the deterministic PriceMixed sweep's per-level buckets,
+	// grown on the first mixed call so pure-only scratch stays small.
+	mix []mixLevel
 }
 
 // NewScratch returns a Scratch pre-sized for T price levels. Buffers grow on
@@ -79,10 +78,6 @@ func (sc *Scratch) ensure(levels int) {
 	sc.fcounts = make([]float64, levels+1)
 	sc.fsums = make([]float64, levels+1)
 	sc.mids = make([]float64, levels+1)
-	sc.utilB = make([]float64, levels+1)
-	sc.revB = make([]float64, levels+1)
-	sc.surB = make([]float64, levels+1)
-	sc.adB = make([]float64, levels+1)
 }
 
 // New returns a Pricer using T price levels. T must be positive.
@@ -354,34 +349,43 @@ func (p *Pricer) PriceMixedIn(sc *Scratch, off MixedOffer) MixedQuote {
 	return q
 }
 
-// switchEvent summarizes one consumer for the deterministic PriceMixed
-// sweep: tau is the bundle price below which the consumer switches
-// (effective bundle WTP minus current surplus), the rest is the state the
-// switch releases or retains.
-type switchEvent struct {
-	tau  float64 // α·wb − max(current surplus, 0): the switch threshold price
-	wb   float64 // raw bundle WTP (ResolveSwitch re-derives the rest)
-	ewb  float64 // α·wb
-	pay  float64 // current expected payment
-	surp float64 // current deterministic surplus
-	cost float64 // current expected serving cost
-	esur float64 // current expected consumer surplus
+// mixLevel is one price level of the deterministic PriceMixed sweep.
+type mixLevel struct {
+	pb float64 // the level's bundle price
+	// The consumers whose highest definitely-cleared level this is; the
+	// sweep's suffix sums over these buckets are every level's definite
+	// switchers.
+	cnt, pay, cost, esur, ewb float64
+	// The net effect of the tie-window consumers that switch at this level.
+	tieRev, tieCost, tieSur, tieAdopt float64
 }
 
-// priceMixedStep evaluates all T bundle-price levels in O(m·log m + m + T)
-// under the deterministic step model, replacing the O(m·T) per-level rescan
-// of offerOutcome. Under the step rule a consumer switches to the bundle
+// priceMixedStep evaluates all T bundle-price levels in O(m + T) under the
+// deterministic step model, replacing the O(m·T) per-level rescan of
+// offerOutcome. Under the step rule a consumer switches to the bundle
 // exactly when its price falls more than ε below their threshold
-// τ = α·wb − current surplus, so sweeping the levels top-down and advancing
-// a pointer over τ-sorted consumers maintains the switcher aggregates
-// incrementally. Consumers whose τ lies within the ε tie window of the
-// current level are resolved individually with ResolveSwitch, keeping the
-// result exactly faithful to the reference evaluation.
+// τ = α·wb − current surplus. Each consumer is hashed into the bucket of
+// the highest level whose price it clears by more than 2ε, and a top-down
+// sweep keeps suffix sums over the buckets: the switcher aggregates of each
+// level. Consumers whose τ lies within 2ε of a level are resolved at that
+// level individually with ResolveSwitch, keeping the result exactly
+// faithful to the reference evaluation.
 func (p *Pricer) priceMixedStep(sc *Scratch, off MixedOffer, q MixedQuote, basePay, baseCost, baseSur float64) MixedQuote {
 	const eps = adoption.DefaultEpsilon
 	T := p.levels
+	if len(sc.mix) < T+1 {
+		sc.mix = make([]mixLevel, T+1)
+	}
+	lv := sc.mix[:T+1]
+	for t := range lv {
+		lv[t] = mixLevel{pb: off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)}
+	}
+	// Level prices are non-decreasing in t, rounding included, so a
+	// consumer definitely switches (τ > pb_t + 2ε) at every level up to its
+	// bucket level k and at none above; the levels above k where τ is still
+	// within 2ε of pb_t form its tie window.
+	scale := float64(T+1) / (off.Hi - off.Lo)
 	alpha := p.model.Alpha()
-	ev := sc.events[:0]
 	for j, wb := range off.WB {
 		ewb := alpha * wb
 		if ewb <= 0 {
@@ -397,63 +401,62 @@ func (p *Pricer) priceMixedStep(sc *Scratch, off MixedOffer, q MixedQuote, baseP
 		if tauSurp < 0 {
 			tauSurp = 0
 		}
-		ev = append(ev, switchEvent{
-			tau:  ewb - tauSurp,
-			wb:   wb,
-			ewb:  ewb,
-			pay:  off.CurPay[j],
-			surp: surp,
-			cost: at0(off.CurCost, j),
-			esur: at0(off.CurESurplus, j),
-		})
-	}
-	sc.events = ev
-	slices.SortFunc(ev, func(a, b switchEvent) int { return cmp.Compare(a.tau, b.tau) })
-	utilB, revB, surB, adB := sc.utilB[:T+1], sc.revB[:T+1], sc.surB[:T+1], sc.adB[:T+1]
-	// Aggregates over the definitely-switched suffix ev[ptr:] (τ well above
-	// the current price level). The 2ε-wide band around the level is kept
-	// out of the aggregates and delegated to ResolveSwitch per consumer, so
-	// the ε tie-break semantics match the reference path bit for bit.
-	ptr := len(ev)
-	var cnt, sumPay, sumCost, sumESur, sumEwb float64
-	for t := T; t >= 1; t-- {
-		pb := off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)
-		for ptr > 0 && ev[ptr-1].tau > pb+2*eps {
-			x := &ev[ptr-1]
-			cnt++
-			sumPay += x.pay
-			sumCost += x.cost
-			sumESur += x.esur
-			sumEwb += x.ewb
-			ptr--
+		tau := ewb - tauSurp
+		// Estimate k arithmetically, then settle it by stepping with the
+		// predicate itself, so float rounding in the estimate cannot
+		// change which levels a consumer clears.
+		k := 0
+		if x := (tau - 2*eps - off.Lo) * scale; x >= float64(T) {
+			k = T
+		} else if x > 0 {
+			k = int(x)
 		}
-		rev := pb*cnt + (basePay - sumPay)
-		cost := off.BundleCost*cnt + (baseCost - sumCost)
-		sur := (sumEwb - pb*cnt) + (baseSur - sumESur)
-		adopters := cnt
-		for k := ptr - 1; k >= 0 && ev[k].tau >= pb-2*eps; k-- {
-			x := &ev[k]
-			pay, prob, switched := p.ResolveSwitch(x.wb, x.pay, x.surp, pb)
+		for k < T && tau > lv[k+1].pb+2*eps {
+			k++
+		}
+		for k > 0 && !(tau > lv[k].pb+2*eps) {
+			k--
+		}
+		pay, cost, esur := off.CurPay[j], at0(off.CurCost, j), at0(off.CurESurplus, j)
+		if k > 0 {
+			b := &lv[k]
+			b.cnt++
+			b.pay += pay
+			b.cost += cost
+			b.esur += esur
+			b.ewb += ewb
+		}
+		for t := k + 1; t <= T && tau >= lv[t].pb-2*eps; t++ {
+			b := &lv[t]
+			bpay, prob, switched := p.ResolveSwitch(wb, pay, surp, b.pb)
 			if switched {
-				rev += pay - x.pay
-				cost += off.BundleCost*prob - x.cost
-				sur -= x.esur
-				if s := x.ewb - pb; s > 0 {
-					sur += s * prob
+				b.tieRev += bpay - pay
+				b.tieCost += off.BundleCost*prob - cost
+				b.tieSur -= esur
+				if s := ewb - b.pb; s > 0 {
+					b.tieSur += s * prob
 				}
-				adopters += prob
+				b.tieAdopt += prob
 			}
 		}
-		revB[t], surB[t], adB[t] = rev, sur, adopters
-		utilB[t] = off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
 	}
-	// Select ascending with a strict improvement test, mirroring the
-	// reference loop's first-maximum tie-break.
-	for t := 1; t <= T; t++ {
-		if utilB[t] > q.Utility {
-			q.Price = off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)
-			q.Revenue, q.Adopters = revB[t], adB[t]
-			q.Utility, q.Surplus = utilB[t], surB[t]
+	// The sweep runs top-down, so keeping a level that ties the best seen
+	// selects the reference loop's choice: the first maximum ascending.
+	var cnt, sumPay, sumCost, sumESur, sumEwb float64
+	for t := T; t >= 1; t-- {
+		b := &lv[t]
+		cnt += b.cnt
+		sumPay += b.pay
+		sumCost += b.cost
+		sumESur += b.esur
+		sumEwb += b.ewb
+		rev := b.pb*cnt + (basePay - sumPay) + b.tieRev
+		cost := off.BundleCost*cnt + (baseCost - sumCost) + b.tieCost
+		sur := (sumEwb - b.pb*cnt) + (baseSur - sumESur) + b.tieSur
+		util := off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
+		if util > q.Utility || (q.Feasible && util == q.Utility) {
+			q.Price, q.Revenue, q.Adopters = b.pb, rev, cnt+b.tieAdopt
+			q.Utility, q.Surplus = util, sur
 			q.Feasible = true
 		}
 	}

@@ -305,6 +305,7 @@ func TestHTTPErrors(t *testing.T) {
 		{"create no matrix", "/v1/corpora", `{"id":"x"}`, http.StatusBadRequest},
 		{"create bad strategy", "/v1/corpora", `{"id":"x","options":{"strategy":"hybrid"},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
 		{"create bad entries", "/v1/corpora", `{"id":"x","matrix":{"consumers":1,"items":1,"entries":[[5,5,1]]}}`, http.StatusBadRequest},
+		{"create too many price levels", "/v1/corpora", `{"id":"x","options":{"price_levels":4611686018427387904},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
 		{"create unknown field", "/v1/corpora", `{"id":"x","bogus":1}`, http.StatusBadRequest},
 		{"create oversized", "/v1/corpora", `{"matrix":{"consumers":1,"items":1,"entries":[` + strings.Repeat("[0,0,1],", 200) + `[0,0,1]]}}`, http.StatusRequestEntityTooLarge},
 	}
