@@ -42,7 +42,10 @@
 // sets the consumers-per-stripe (default 1024). Results are identical for
 // any stripe size; tune it only for locality — smaller stripes when bundle
 // scans thrash the cache on very dense corpora, larger ones to shave
-// per-stripe overhead on small matrices.
+// per-stripe overhead on small matrices. Each stripe holds items + 1
+// offsets whatever its entry count, so NewSolver rejects a stripe size
+// that needs more than 2^20 offsets in all; a wide matrix needs larger
+// stripes.
 //
 // # Performance
 //

@@ -162,7 +162,10 @@ func runCodec(env *experiments.Env, scaleName, outPath string, base config.Param
 	fmt.Println("codec: matrix payload measured")
 
 	// --- span: the cluster feed payload --------------------------------
-	sh := env.W.Shard(stripeSize)
+	sh, err := env.W.Shard(stripeSize)
+	if err != nil {
+		return err
+	}
 	span := sh.Span(0, sh.Stripes())
 	jsonSpan, err := json.Marshal(cluster.AssignRequest{Corpus: "bench", Span: span})
 	if err != nil {

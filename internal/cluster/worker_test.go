@@ -12,7 +12,10 @@ import (
 
 // spanDocFor shards a matrix and serializes the full stripe range.
 func spanDocFor(w *bundling.Matrix, stripeSize int) *wtp.SpanDoc {
-	sh := w.Shard(stripeSize)
+	sh, err := w.Shard(stripeSize)
+	if err != nil {
+		panic(err)
+	}
 	return sh.Span(0, sh.Stripes())
 }
 
@@ -103,7 +106,10 @@ func TestWorkerHTTPSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh := w.Shard(16)
+	sh, err := w.Shard(16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	wantIDs, wantVals := sh.BundleVector([]int{0, 1}, 0, nil, nil)
 	if len(resp.IDs) != len(wantIDs) {
 		t.Fatalf("vector length %d != %d", len(resp.IDs), len(wantIDs))

@@ -40,7 +40,10 @@ func testSpan(t *testing.T) *wtp.SpanDoc {
 			}
 		}
 	}
-	sh := w.Shard(4)
+	sh, err := w.Shard(4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	d := sh.Span(0, sh.Stripes())
 	d.Version = 1<<63 | 12345
 	return d

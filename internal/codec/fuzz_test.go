@@ -65,6 +65,9 @@ func FuzzDecodeMatrix(f *testing.F) {
 
 func FuzzDecodeSpan(f *testing.F) {
 	seedCorpus(f, []byte{0xBC, 'X', 1, 0x02, 4, 2, 2, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 3, 0, 2, 2, 1, 0, 1, 0})
+	// A layout whose offset count 4 × 2^62 wraps to 0, matching the empty
+	// offsets column.
+	f.Add(codec.EncodeSpan(&wtp.SpanDoc{Consumers: 4, Items: 1<<62 - 1, StripeSize: 1, End: 4}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := codec.DecodeSpan(data)
 		if err != nil {

@@ -20,7 +20,10 @@ type spanAggregator struct {
 
 func newSpanAggregator(t *testing.T, w *wtp.Matrix, p Params, spans int) *spanAggregator {
 	t.Helper()
-	sh := w.Shard(p.StripeSize)
+	sh, err := w.Shard(p.StripeSize)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if spans > sh.Stripes() {
 		spans = sh.Stripes()
 	}

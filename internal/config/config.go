@@ -69,7 +69,9 @@ type Params struct {
 	// solver's sharded WTP index (0 = wtp.DefaultStripeSize). Smaller
 	// stripes shrink the cache working set of per-stripe scans and raise
 	// the number of independently farmable work units; larger stripes
-	// lower per-stripe overhead. Results are identical for any value.
+	// lower per-stripe overhead. Results are identical for any value, but
+	// each stripe holds items + 1 offsets, so NewSolver errors when
+	// stripes × (items + 1) exceeds 2^20.
 	StripeSize int
 	// DisablePruning turns off the paper's common-interest pruning of
 	// candidate pairs (Sec. 5.3.1). Ablation knob: the pruning is lossless

@@ -108,9 +108,13 @@ func NewSolverOn(w *wtp.Matrix, params Params, exec StripeExecutor) (*Solver, er
 	if err != nil {
 		return nil, err
 	}
+	sh, err := w.Shard(params.StripeSize)
+	if err != nil {
+		return nil, err
+	}
 	s := &Solver{
 		w:      w,
-		sh:     w.Shard(params.StripeSize),
+		sh:     sh,
 		exec:   exec,
 		params: params,
 		pr:     pr,

@@ -433,7 +433,7 @@ func ReadCSV(r io.Reader) (*Dataset, error) {
 	// the price-row count is guaranteed-missing — report it before sizing
 	// the prices slice, which a corrupt sky-high id would otherwise blow up
 	// to an absurd allocation. (Sky-high user ids are caught downstream by
-	// the WTP matrix's dense-size guard.)
+	// the WTP matrix's dimension limit.)
 	if maxItem >= len(prices) {
 		return nil, fmt.Errorf("dataset: item id %d but only %d price rows; missing price", maxItem, len(prices))
 	}

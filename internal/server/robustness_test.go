@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -397,6 +399,41 @@ func TestBatcherBudget(t *testing.T) {
 	_, _, err := b.do(context.Background(), "k", [][]int{{0}})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestUploadCostsEntriesNotShape: a corpus costs its entries, not its
+// declared consumers × items. A 2-entry 8,000 × 8,000 upload indexes in
+// under 64 MB; at stripe size 1 (8,000 stripes × 8,001 shard offsets) and
+// with 2^31 consumers the same upload gets a 400 before anything that
+// size is allocated.
+func TestUploadCostsEntriesNotShape(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	upload := func(id string, consumers int, options string) string {
+		return fmt.Sprintf(`{"id":%q,"options":{%s},"matrix":{"consumers":%d,"items":8000,"entries":[[0,0,5],[7999,7999,3]]}}`, id, options, consumers)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, body := postJSON(t, ts, "/v1/corpora", upload("wide", 8000, ""))
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("8,000 × 8,000 upload: status %d, want 201 (%s)", resp.StatusCode, body)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Errorf("2-entry 8,000 × 8,000 upload allocated %d MB, want under 64", alloc>>20)
+	}
+
+	for _, c := range []struct{ name, body string }{
+		{"stripe size 1", upload("striped", 8000, `"stripe_size":1`)},
+		{"2^31 consumers", upload("tall", 1<<31, "")},
+	} {
+		if resp, body := postJSON(t, ts, "/v1/corpora", c.body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
+		}
 	}
 }
 

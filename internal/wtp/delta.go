@@ -8,7 +8,7 @@ import (
 
 // This file implements delta upserts: batched single-cell mutations applied
 // copy-on-write to an immutable base snapshot. WithDelta derives a new Matrix
-// sharing every untouched row and posting list with its parent;
+// sharing every untouched posting list with its parent;
 // Shard.ApplyDelta rebuilds only the stripes whose consumers are mutated; and
 // SpanStore.ApplyDelta patches a worker's span replica in place of a full
 // re-feed. All three produce state byte-identical in layout to a from-scratch
@@ -46,12 +46,12 @@ func checkCells(cells []Cell, m, n int) error {
 }
 
 // WithDelta returns a new matrix with the delta applied, leaving the receiver
-// untouched. The result shares every unmodified row and posting list with the
-// receiver (copy-on-write), so a one-cell delta costs O(row + posting list),
-// not O(matrix). The version advances by exactly one per delta, regardless of
-// cell count; an entirely no-op delta still bumps it, keeping the version a
-// mutation counter rather than a content hash. The delta is validated up
-// front and rejected whole on any bad cell.
+// untouched. The result shares every unmodified posting list with the
+// receiver (copy-on-write), so a one-cell delta costs O(items + posting
+// list), not O(entries). The version advances by exactly one per delta,
+// regardless of cell count; an entirely no-op delta still bumps it, keeping
+// the version a mutation counter rather than a content hash. The delta is
+// validated up front and rejected whole on any bad cell.
 func (w *Matrix) WithDelta(cells []Cell) (*Matrix, error) {
 	if err := checkCells(cells, w.m, w.n); err != nil {
 		return nil, err
@@ -59,7 +59,6 @@ func (w *Matrix) WithDelta(cells []Cell) (*Matrix, error) {
 	nw := &Matrix{
 		m:        w.m,
 		n:        w.n,
-		rows:     append([][]float64(nil), w.rows...),
 		postings: append([][]Entry(nil), w.postings...),
 		colSum:   append([]float64(nil), w.colSum...),
 		total:    w.total,

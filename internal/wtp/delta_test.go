@@ -139,7 +139,7 @@ func TestWithDeltaMatchesRebuild(t *testing.T) {
 				w.MustSet(rng.Intn(m), rng.Intn(n), math.Round(rng.Float64()*1000)/10)
 			}
 			stripeSize := 1 + rng.Intn(16)
-			cur, sh := w, w.Shard(stripeSize)
+			cur, sh := w, mustShard(t, w, stripeSize)
 			// Span replicas covering the whole shard in two spans.
 			cut := sh.Stripes() / 2
 			sp1, err := sh.Span(0, cut).Store()
@@ -165,7 +165,7 @@ func TestWithDeltaMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatalf("round %d Shard.ApplyDelta: %v", round, err)
 				}
-				mustEqualShards(t, nsh, next.Shard(stripeSize))
+				mustEqualShards(t, nsh, mustShard(t, next, stripeSize))
 				// Patch the span replicas with their span-scoped cut of the
 				// delta and compare against spans of the rebuilt shard.
 				for si, sp := range []*SpanStore{sp1, sp2} {
@@ -237,7 +237,7 @@ func TestDeltaValidation(t *testing.T) {
 	if w.Version() != 1 || w.At(0, 0) != 0 {
 		t.Fatalf("receiver mutated by rejected delta: version %d, At(0,0)=%g", w.Version(), w.At(0, 0))
 	}
-	sh := w.Shard(2)
+	sh := mustShard(t, w, 2)
 	if _, err := sh.ApplyDelta(w, []Cell{{Consumer: 9, Item: 0, Value: 1}}); err == nil {
 		t.Fatal("Shard.ApplyDelta accepted out-of-range cell")
 	}
@@ -335,7 +335,7 @@ func TestDeleteTombstone(t *testing.T) {
 	}
 	// The shard and a serialized span of it must agree: consumer 1 absent
 	// from item 0's segment everywhere.
-	sh := w.Shard(2)
+	sh := mustShard(t, w, 2)
 	st := sh.Stripe(0)
 	sids, _ := st.Item(0)
 	for _, id := range sids {

@@ -86,12 +86,14 @@ type SpanStore struct {
 	stripes    []Stripe
 }
 
-// Store validates the document and rebuilds its span store.
+// Store validates the document and rebuilds its span store. The layout is
+// checked against the limits New and Shard apply before anything is
+// multiplied, so a hostile layout cannot wrap the offset count.
 func (d *SpanDoc) Store() (*SpanStore, error) {
-	if d.Consumers < 0 || d.Items < 0 || d.StripeSize <= 0 {
+	if d.Consumers < 0 || d.Items < 0 || d.StripeSize <= 0 || d.Consumers > maxLen || d.Items > maxLen {
 		return nil, fmt.Errorf("wtp: span doc has invalid layout %d×%d stripe %d", d.Consumers, d.Items, d.StripeSize)
 	}
-	if d.Start < 0 || d.End < d.Start {
+	if d.Start < 0 || d.End < d.Start || d.End-d.Start > maxLen {
 		return nil, fmt.Errorf("wtp: span doc range [%d,%d) invalid", d.Start, d.End)
 	}
 	numStripes := d.End - d.Start
@@ -180,16 +182,7 @@ func (sp *SpanStore) Items() int { return sp.items }
 // with the same kernel the shard uses, so concatenating the spans of a
 // corpus in stripe order reproduces the single-machine result exactly.
 func (sp *SpanStore) BundleVector(items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	dstIDs = dstIDs[:0]
-	dstVals = dstVals[:0]
-	if len(items) == 0 {
-		return dstIDs, dstVals
-	}
-	scale := 1 + theta
-	for s := range sp.stripes {
-		dstIDs, dstVals = sp.stripes[s].appendBundleVector(items, scale, dstIDs, dstVals)
-	}
-	return dstIDs, dstVals
+	return bundleStripes(sp.stripes, items, theta, dstIDs, dstVals)
 }
 
 // UnionVectors is the span's contribution to Shard.UnionVectors: it merges
@@ -197,47 +190,5 @@ func (sp *SpanStore) BundleVector(items []int, theta float64, dstIDs []int, dstV
 // per stripe exactly as the shard does, so per-span results concatenate to
 // the single-machine union.
 func (sp *SpanStore) UnionVectors(aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	dstIDs = dstIDs[:0]
-	dstVals = dstVals[:0]
-	i, j := 0, 0
-	for s := range sp.stripes {
-		hi := sp.stripes[s].hi
-		if i >= len(aIDs) && j >= len(bIDs) {
-			break
-		}
-		for i < len(aIDs) && j < len(bIDs) && aIDs[i] < hi && bIDs[j] < hi {
-			switch {
-			case aIDs[i] < bIDs[j]:
-				dstIDs = append(dstIDs, aIDs[i])
-				dstVals = append(dstVals, sa*aVals[i])
-				i++
-			case aIDs[i] > bIDs[j]:
-				dstIDs = append(dstIDs, bIDs[j])
-				dstVals = append(dstVals, sb*bVals[j])
-				j++
-			default:
-				dstIDs = append(dstIDs, aIDs[i])
-				if sa == sb {
-					// Match the flat merge's factored rounding (see
-					// UnionVectors).
-					dstVals = append(dstVals, sa*(aVals[i]+bVals[j]))
-				} else {
-					dstVals = append(dstVals, sa*aVals[i]+sb*bVals[j])
-				}
-				i++
-				j++
-			}
-		}
-		for i < len(aIDs) && aIDs[i] < hi && (j >= len(bIDs) || bIDs[j] >= hi) {
-			dstIDs = append(dstIDs, aIDs[i])
-			dstVals = append(dstVals, sa*aVals[i])
-			i++
-		}
-		for j < len(bIDs) && bIDs[j] < hi && (i >= len(aIDs) || aIDs[i] >= hi) {
-			dstIDs = append(dstIDs, bIDs[j])
-			dstVals = append(dstVals, sb*bVals[j])
-			j++
-		}
-	}
-	return dstIDs, dstVals
+	return unionStripes(sp.stripes, aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
 }

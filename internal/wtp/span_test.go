@@ -49,7 +49,7 @@ func spanCuts(stripes, k int) [][2]int {
 func TestSpanBundleVectorEquivalence(t *testing.T) {
 	w := randomSpanMatrix(t, 157, 23, 0.2, 1)
 	for _, stripeSize := range []int{7, 32, 200} {
-		sh := w.Shard(stripeSize)
+		sh := mustShard(t, w, stripeSize)
 		for _, spans := range []int{1, 2, 3, 5} {
 			stores := buildStores(t, sh, spans)
 			for trial := 0; trial < 20; trial++ {
@@ -80,7 +80,7 @@ func TestSpanBundleVectorEquivalence(t *testing.T) {
 // union exactly.
 func TestSpanUnionVectorsEquivalence(t *testing.T) {
 	w := randomSpanMatrix(t, 211, 17, 0.25, 2)
-	sh := w.Shard(16)
+	sh := mustShard(t, w, 16)
 	for _, spans := range []int{1, 2, 4} {
 		stores := buildStores(t, sh, spans)
 		rng := rand.New(rand.NewSource(int64(spans)))
@@ -117,7 +117,7 @@ func TestSpanUnionVectorsEquivalence(t *testing.T) {
 // TestSpanDocValidation: corrupt documents must be rejected, not panic.
 func TestSpanDocValidation(t *testing.T) {
 	w := randomSpanMatrix(t, 40, 5, 0.3, 3)
-	sh := w.Shard(16)
+	sh := mustShard(t, w, 16)
 	good := sh.Span(0, sh.Stripes())
 	if _, err := good.Store(); err != nil {
 		t.Fatalf("valid doc rejected: %v", err)
@@ -129,6 +129,11 @@ func TestSpanDocValidation(t *testing.T) {
 		"ids/vals skew":   func(d *SpanDoc) { d.Vals = d.Vals[:len(d.Vals)-1] },
 		"consumer range":  func(d *SpanDoc) { d.IDs[0] = int32(d.Consumers + 5) },
 		"negative wtp":    func(d *SpanDoc) { d.Vals[0] = -1 },
+		// 4 stripes × 2^62 offsets wraps to 0, the length of an empty Offs.
+		"overflowing layout": func(d *SpanDoc) {
+			d.Items, d.Start, d.End = 1<<62-1, 0, 4
+			d.Offs, d.IDs, d.Vals = nil, nil, nil
+		},
 	}
 	for name, corrupt := range cases {
 		d := sh.Span(0, sh.Stripes())
@@ -143,7 +148,7 @@ func TestSpanDocValidation(t *testing.T) {
 // exposes.
 func TestSpanStoreMetadata(t *testing.T) {
 	w := randomSpanMatrix(t, 100, 8, 0.3, 4)
-	sh := w.Shard(32)
+	sh := mustShard(t, w, 32)
 	d := sh.Span(1, 3)
 	sp, err := d.Store()
 	if err != nil {

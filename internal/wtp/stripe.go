@@ -14,7 +14,7 @@ const DefaultStripeSize = 1024
 // Stripe is one fixed-size consumer range of a Shard. Its postings are
 // stored columnar (structure-of-arrays): one ids array and one aligned vals
 // array shared by all items, with per-item segment offsets. Compared to the
-// Matrix's []Entry rows this halves the bytes touched by a consumer-id scan
+// Matrix's []Entry lists this halves the bytes touched by a consumer-id scan
 // and keeps a stripe's working set contiguous, so per-stripe aggregation is
 // cache-local and independent of every other stripe — the unit of work a
 // scheduler can hand to a worker goroutine or, eventually, another machine.
@@ -59,13 +59,19 @@ type Shard struct {
 
 // Shard builds a striped columnar snapshot of the matrix. stripeSize is the
 // number of consumers per stripe; 0 or negative selects DefaultStripeSize.
-func (w *Matrix) Shard(stripeSize int) *Shard {
+// Every stripe holds items + 1 offsets whatever its entry count, so Shard
+// errors before allocating when stripes × (items + 1) exceeds 2^20: a small
+// stripe size over a wide matrix needs a larger one.
+func (w *Matrix) Shard(stripeSize int) (*Shard, error) {
 	if stripeSize <= 0 {
 		stripeSize = DefaultStripeSize
 	}
-	numStripes := (w.m + stripeSize - 1) / stripeSize
-	if numStripes == 0 {
-		numStripes = 1 // keep a degenerate 0-consumer matrix iterable
+	numStripes := w.m / stripeSize
+	if w.m%stripeSize != 0 || numStripes == 0 {
+		numStripes++ // a partial last stripe; keep a 0-consumer matrix iterable
+	}
+	if numStripes > maxLen/(w.n+1) {
+		return nil, fmt.Errorf("wtp: %d stripes × (%d items + 1) offsets exceed %d; raise the stripe size", numStripes, w.n, maxLen)
 	}
 	sh := &Shard{w: w, version: w.version, size: stripeSize, stripes: make([]Stripe, numStripes)}
 	// Per-item cursors advance monotonically across stripes, so the whole
@@ -105,7 +111,7 @@ func (w *Matrix) Shard(stripeSize int) *Shard {
 			}
 		}
 	}
-	return sh
+	return sh, nil
 }
 
 // Matrix returns the matrix the shard was built from.
@@ -144,14 +150,20 @@ func (sh *Shard) check() {
 // reused if they have capacity.
 func (sh *Shard) BundleVector(items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	sh.check()
+	return bundleStripes(sh.stripes, items, theta, dstIDs, dstVals)
+}
+
+// bundleStripes reduces a bundle vector over consecutive stripes, the body
+// shared by Shard.BundleVector and SpanStore.BundleVector.
+func bundleStripes(stripes []Stripe, items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	dstIDs = dstIDs[:0]
 	dstVals = dstVals[:0]
 	if len(items) == 0 {
 		return dstIDs, dstVals
 	}
 	scale := 1 + theta
-	for s := range sh.stripes {
-		dstIDs, dstVals = sh.stripes[s].appendBundleVector(items, scale, dstIDs, dstVals)
+	for s := range stripes {
+		dstIDs, dstVals = stripes[s].appendBundleVector(items, scale, dstIDs, dstVals)
 	}
 	return dstIDs, dstVals
 }
@@ -277,11 +289,18 @@ func siftDownStripe(h []stripeCursor, i int) {
 // worker owning each stripe.
 func (sh *Shard) UnionVectors(aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	sh.check()
+	return unionStripes(sh.stripes, aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
+}
+
+// unionStripes cuts two consumer vectors at the stripes' boundaries and
+// merges them stripe by stripe, the body shared by Shard.UnionVectors and
+// SpanStore.UnionVectors.
+func unionStripes(stripes []Stripe, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	dstIDs = dstIDs[:0]
 	dstVals = dstVals[:0]
 	i, j := 0, 0
-	for s := range sh.stripes {
-		hi := sh.stripes[s].hi
+	for s := range stripes {
+		hi := stripes[s].hi
 		if i >= len(aIDs) && j >= len(bIDs) {
 			break
 		}

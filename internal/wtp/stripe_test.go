@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// mustShard shards w, failing the test on an error.
+func mustShard(t testing.TB, w *Matrix, stripeSize int) *Shard {
+	t.Helper()
+	sh, err := w.Shard(stripeSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sh
+}
+
 // stripeSizes sweeps degenerate (1 consumer per stripe), misaligned, and
 // single-stripe layouts.
 func stripeSizes(m int) []int {
@@ -29,7 +39,7 @@ func TestShardBundleVectorMatchesMatrix(t *testing.T) {
 		theta := thetas[trial%len(thetas)]
 		wantIDs, wantVals := w.BundleVector(items, theta, nil, nil)
 		for _, size := range stripeSizes(m) {
-			sh := w.Shard(size)
+			sh := mustShard(t, w, size)
 			gotIDs, gotVals := sh.BundleVector(items, theta, nil, nil)
 			if len(gotIDs) != len(wantIDs) {
 				t.Fatalf("stripe=%d items=%v θ=%g: %d consumers, reference %d", size, items, theta, len(gotIDs), len(wantIDs))
@@ -66,7 +76,7 @@ func TestShardUnionVectorsMatchesFlat(t *testing.T) {
 		sa, sb := 1+theta, 1.0
 		wantIDs, wantVals := UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, nil, nil)
 		for _, size := range stripeSizes(m) {
-			sh := w.Shard(size)
+			sh := mustShard(t, w, size)
 			gotIDs, gotVals := sh.UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, nil, nil)
 			if len(gotIDs) != len(wantIDs) {
 				t.Fatalf("stripe=%d: %d consumers, reference %d", size, len(gotIDs), len(wantIDs))
@@ -87,7 +97,7 @@ func TestShardUnionVectorsMatchesFlat(t *testing.T) {
 func TestStripeLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	w := randomMatrix(t, rng, 37, 6, 0.5)
-	sh := w.Shard(8)
+	sh := mustShard(t, w, 8)
 	if sh.StripeSize() != 8 {
 		t.Fatalf("StripeSize = %d, want 8", sh.StripeSize())
 	}
@@ -140,7 +150,7 @@ func TestStripeLayout(t *testing.T) {
 func TestShardStaleness(t *testing.T) {
 	w := MustNew(4, 2)
 	w.MustSet(0, 0, 5)
-	sh := w.Shard(2)
+	sh := mustShard(t, w, 2)
 	sh.BundleVector([]int{0}, 0, nil, nil) // fresh: fine
 	w.MustSet(1, 1, 3)
 	defer func() {
@@ -155,7 +165,7 @@ func TestShardStaleness(t *testing.T) {
 // items, and a matrix smaller than one stripe.
 func TestShardEmptyAndTiny(t *testing.T) {
 	empty := MustNew(0, 3)
-	sh := empty.Shard(0)
+	sh := mustShard(t, empty, 0)
 	if sh.Stripes() != 1 {
 		t.Fatalf("empty matrix: %d stripes, want 1", sh.Stripes())
 	}
@@ -165,7 +175,7 @@ func TestShardEmptyAndTiny(t *testing.T) {
 	}
 	tiny := MustNew(2, 1)
 	tiny.MustSet(1, 0, 7)
-	sh = tiny.Shard(100)
+	sh = mustShard(t, tiny, 100)
 	ids, vals = sh.BundleVector([]int{0}, 0, nil, nil)
 	if len(ids) != 1 || ids[0] != 1 || vals[0] != 7 {
 		t.Fatalf("tiny bundle vector = %v %v, want [1] [7]", ids, vals)
@@ -177,7 +187,7 @@ func TestShardEmptyAndTiny(t *testing.T) {
 func TestForEachStripe(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	w := randomMatrix(t, rng, 100, 4, 0.4)
-	sh := w.Shard(9)
+	sh := mustShard(t, w, 9)
 	for _, workers := range []int{1, 4, 32} {
 		visits := make([]int, sh.Stripes())
 		perConsumer := make([]float64, w.Consumers())

@@ -7,15 +7,19 @@
 // factor λ ≥ 1. A bundle's WTP (Eq. 1) is the θ-adjusted sum of its items'
 // WTPs: w[u][b] = (1+θ) Σ_{i∈b} w[u][i].
 //
-// Ratings are sparse, so the package keeps both a dense row-major matrix for
-// O(1) lookup and per-item postings lists (consumers with non-zero WTP) for
-// the union scans the pricing code performs.
+// Ratings are sparse (0.5% dense at the paper's scale), so the package keeps
+// only per-item postings lists: the consumers with non-zero WTP for the item,
+// in ascending order. The union scans the pricing code performs walk them,
+// and a single-cell read (At) binary-searches one. Memory is proportional to
+// entries + items, never to consumers × items.
 package wtp
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // MaxRating is the top of the rating scale used by FromRatings (5-star scale,
@@ -33,40 +37,37 @@ type Entry struct {
 // Construct with New or FromRatings. The zero value is unusable.
 type Matrix struct {
 	m, n     int
-	rows     [][]float64 // per consumer: dense row of n WTP values
-	postings [][]Entry   // per item: consumers with non-zero WTP, ascending
-	colSum   []float64   // per item: total WTP (upper bound of item revenue)
-	total    float64     // grand total WTP (upper bound of any revenue)
-	version  uint64      // bumped by every mutation; Shard staleness checks
-	// cow marks a matrix derived by WithDelta: its rows and posting lists may
-	// share backing arrays with the parent snapshot, so every write must
-	// clone the touched row / posting list before storing through it.
+	postings [][]Entry // per item: consumers with non-zero WTP, ascending
+	colSum   []float64 // per item: total WTP (upper bound of item revenue)
+	total    float64   // grand total WTP (upper bound of any revenue)
+	version  uint64    // bumped by every mutation; Shard staleness checks
+	// cow marks a matrix derived by WithDelta: its posting lists may share
+	// backing arrays with the parent snapshot, so every write must clone the
+	// touched posting list before storing through it.
 	cow bool
 }
 
-// maxDenseCells caps the dense backing array of a Matrix. The limit exists
-// to turn absurd dimensions — typically corrupt input with sky-high ids —
-// into an error instead of a makeslice panic or an out-of-memory kill.
-// (1<<31 - 1 also keeps the constant an untyped int on 32-bit platforms.)
-const maxDenseCells = 1<<31 - 1
+// maxLen caps every length that declared dimensions alone make a corpus
+// allocate, whatever its entry count: consumers, items, and a shard's
+// stripes × (items + 1) int32 offsets. It turns absurd dimensions (corrupt
+// input with sky-high ids, or a tiny upload declaring a huge shape) into an
+// error instead of an out-of-memory kill. The costliest zero-entry
+// declaration it admits is 2^20 consumers × (2^20 − 1) items in one stripe.
+// Per item that costs about 32 B in the matrix and 325 B for a session's
+// singleton nodes. Per consumer it costs 24 B for FreqItemset's
+// transactions, and each offset costs 4 B. In total, 2^20 × (357 + 24 + 4)
+// B = 385 MiB, under 512 MB. Paper scale (4,449 × 5,008) needs 5 × 5,009
+// offsets at the default stripe size.
+const maxLen = 1 << 20
 
-// New returns an all-zero M×N matrix.
+// New returns an all-zero M×N matrix. Each dimension must lie in [0, 2^20].
 func New(consumers, items int) (*Matrix, error) {
-	if consumers < 0 || items < 0 {
-		return nil, fmt.Errorf("wtp: negative dimensions %d×%d", consumers, items)
-	}
-	if items > 0 && consumers > maxDenseCells/items {
-		return nil, fmt.Errorf("wtp: matrix %d×%d exceeds %d dense cells", consumers, items, maxDenseCells)
-	}
-	backing := make([]float64, consumers*items)
-	rows := make([][]float64, consumers)
-	for u := range rows {
-		rows[u] = backing[u*items : (u+1)*items : (u+1)*items]
+	if consumers < 0 || items < 0 || consumers > maxLen || items > maxLen {
+		return nil, fmt.Errorf("wtp: matrix %d×%d outside [0, %d] per dimension", consumers, items, maxLen)
 	}
 	return &Matrix{
 		m:        consumers,
 		n:        items,
-		rows:     rows,
 		postings: make([][]Entry, items),
 		colSum:   make([]float64, items),
 	}, nil
@@ -98,74 +99,62 @@ func (w *Matrix) Set(u, i int, value float64) error {
 	if value < 0 || math.IsNaN(value) || math.IsInf(value, 0) {
 		return fmt.Errorf("wtp: willingness to pay %g must be finite and non-negative", value)
 	}
-	if w.rows[u][i] == value {
-		return nil
+	if w.put(u, i, value) {
+		w.version++
 	}
-	w.version++
-	w.put(u, i, value)
 	return nil
 }
 
 // Delete removes consumer u's willingness to pay for item i: the cell becomes
-// a true absence — it leaves the dense row, the posting list, and the
-// column/grand totals, so it can never resurface through BundleVector,
-// UnionVectors, or a serialized snapshot. Deleting an already-absent cell is
-// a no-op (and does not bump the version).
+// a true absence — it leaves the posting list and the column/grand totals, so
+// it can never resurface through At, BundleVector, UnionVectors, or a
+// serialized snapshot. Deleting an already-absent cell is a no-op (and does
+// not bump the version).
 func (w *Matrix) Delete(u, i int) error {
 	if u < 0 || u >= w.m || i < 0 || i >= w.n {
 		return fmt.Errorf("wtp: index (%d,%d) out of range %d×%d", u, i, w.m, w.n)
 	}
-	if w.rows[u][i] == 0 {
-		return nil
+	if w.put(u, i, 0) {
+		w.version++
 	}
-	w.version++
-	w.put(u, i, 0)
 	return nil
 }
 
-// put writes one cell — the dense row, the posting list, and the column and
-// grand totals — assuming bounds and value validity were already checked and
-// the value actually changes something is the caller's concern (writing the
-// current value is a harmless no-op here). On a copy-on-write matrix the
-// touched row and posting list are cloned first, so snapshots sharing the
-// parent's arrays are never written through.
-func (w *Matrix) put(u, i int, value float64) {
-	old := w.rows[u][i]
+// put writes one cell — the posting list and the column and grand totals —
+// and reports whether the value changed. Bounds and value validity are the
+// caller's concern; a value of 0 removes the consumer's posting, so a
+// posting never holds 0. On a copy-on-write matrix the touched posting list
+// is cloned first, so snapshots sharing the parent's arrays are never
+// written through.
+func (w *Matrix) put(u, i int, value float64) bool {
+	p := w.postings[i]
+	k, found := slices.BinarySearchFunc(p, u, byConsumer)
+	var old float64
+	if found {
+		old = p[k].Value
+	}
 	if old == value {
-		return
+		return false
 	}
 	if w.cow {
-		w.rows[u] = append([]float64(nil), w.rows[u]...)
-		w.postings[i] = append([]Entry(nil), w.postings[i]...)
+		p = append([]Entry(nil), p...)
 	}
-	w.rows[u][i] = value
 	w.colSum[i] += value - old
 	w.total += value - old
-	p := w.postings[i]
-	// Binary search for consumer u in the posting list.
-	lo, hi := 0, len(p)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if p[mid].Consumer < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
 	switch {
-	case lo < len(p) && p[lo].Consumer == u:
-		if value == 0 {
-			w.postings[i] = append(p[:lo], p[lo+1:]...)
-		} else {
-			p[lo].Value = value
-		}
-	case value != 0:
-		p = append(p, Entry{})
-		copy(p[lo+1:], p[lo:])
-		p[lo] = Entry{Consumer: u, Value: value}
-		w.postings[i] = p
+	case value == 0:
+		p = slices.Delete(p, k, k+1)
+	case found:
+		p[k].Value = value
+	default:
+		p = slices.Insert(p, k, Entry{Consumer: u, Value: value})
 	}
+	w.postings[i] = p
+	return true
 }
+
+// byConsumer orders a posting against a consumer id for binary search.
+func byConsumer(e Entry, u int) int { return cmp.Compare(e.Consumer, u) }
 
 // MustSet is Set but panics on error; intended for tests and examples.
 func (w *Matrix) MustSet(u, i int, value float64) {
@@ -174,9 +163,14 @@ func (w *Matrix) MustSet(u, i int, value float64) {
 	}
 }
 
-// At returns consumer u's willingness to pay for item i.
+// At returns consumer u's willingness to pay for item i, by binary search
+// of item i's postings.
 func (w *Matrix) At(u, i int) float64 {
-	return w.rows[u][i]
+	p := w.postings[i]
+	if k, found := slices.BinarySearchFunc(p, u, byConsumer); found {
+		return p[k].Value
+	}
+	return 0
 }
 
 // Postings returns the consumers with non-zero WTP for item i, in ascending
@@ -209,9 +203,8 @@ func (w *Matrix) Version() uint64 { return w.version }
 // WTP and is rejected by Params validation upstream; here it is clamped at 0.
 func (w *Matrix) BundleWTP(u int, items []int, theta float64) float64 {
 	var sum float64
-	row := w.rows[u]
 	for _, i := range items {
-		sum += row[i]
+		sum += w.At(u, i)
 	}
 	v := sum * (1 + theta)
 	if v < 0 {

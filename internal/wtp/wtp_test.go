@@ -206,17 +206,19 @@ func TestFromRatingsErrors(t *testing.T) {
 	}
 }
 
-// TestQuickBundleVectorMatchesDense cross-checks the postings-merge path
-// against the dense matrix on random inputs.
+// TestQuickBundleVectorMatchesDense cross-checks the postings against a
+// test-local dense shadow filled by the same random writes: At, BundleWTP,
+// BundleVector and the totals must all read the shadow's values.
 func TestQuickBundleVectorMatchesDense(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m, n := 2+rng.Intn(20), 2+rng.Intn(6)
-		w := MustNew(m, n)
+		w, d := MustNew(m, n), newShadow(m, n)
 		for u := 0; u < m; u++ {
 			for i := 0; i < n; i++ {
 				if rng.Float64() < 0.4 {
-					w.MustSet(u, i, rng.Float64()*20)
+					d[u][i] = rng.Float64() * 20
+					w.MustSet(u, i, d[u][i])
 				}
 			}
 		}
@@ -227,22 +229,13 @@ func TestQuickBundleVectorMatchesDense(t *testing.T) {
 			}
 		}
 		theta := rng.Float64()*0.4 - 0.2
-		ids, vals := w.BundleVector(items, theta, nil, nil)
-		got := map[int]float64{}
-		for j, id := range ids {
-			got[id] = vals[j]
+		if err := checkShadow(w, d); err != nil {
+			t.Log(err)
+			return false
 		}
-		for u := 0; u < m; u++ {
-			want := w.BundleWTP(u, items, theta)
-			if want == 0 {
-				if _, ok := got[u]; ok {
-					return false
-				}
-				continue
-			}
-			if math.Abs(got[u]-want) > 1e-9 {
-				return false
-			}
+		if err := checkBundleShadow(w, d, items, theta); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -251,27 +244,31 @@ func TestQuickBundleVectorMatchesDense(t *testing.T) {
 	}
 }
 
-// TestQuickTotalsConsistent checks Total == Σ ItemTotal == Σ dense entries
-// under random mutation sequences including overwrites and zeroing.
+// TestQuickTotalsConsistent checks Total, every ItemTotal and Entries
+// against a test-local dense shadow under random mutation sequences
+// including overwrites and zeroing.
 func TestQuickTotalsConsistent(t *testing.T) {
 	f := func(seed int64, ops uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		w := MustNew(8, 5)
+		w, d := MustNew(8, 5), newShadow(8, 5)
 		for k := 0; k < int(ops); k++ {
 			v := rng.Float64() * 10
 			if rng.Float64() < 0.2 {
 				v = 0
 			}
-			w.MustSet(rng.Intn(8), rng.Intn(5), v)
+			u, i := rng.Intn(8), rng.Intn(5)
+			w.MustSet(u, i, v)
+			d[u][i] = v
 		}
-		var dense, cols float64
-		for i := 0; i < 5; i++ {
-			cols += w.ItemTotal(i)
-			for u := 0; u < 8; u++ {
-				dense += w.At(u, i)
-			}
+		if err := checkShadow(w, d); err != nil {
+			t.Log(err)
+			return false
 		}
-		return math.Abs(w.Total()-dense) < 1e-9 && math.Abs(cols-dense) < 1e-9
+		if err := checkBundleShadow(w, d, []int{0, 2, 4}, 0); err != nil {
+			t.Log(err)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
