@@ -5,7 +5,7 @@
 GO ?= go
 NPROC ?= $(shell nproc 2>/dev/null || echo 2)
 
-.PHONY: build test vet fmt race check bench-check smoke chaos linkcheck bench bench-parallel bench-serve bench-cluster bench-chaos bench-codec fuzz profile tracing-gate usage-gate mutate-gate mutate-gate-fast
+.PHONY: build test vet fmt race check bench-check smoke chaos linkcheck bench bench-parallel bench-chaos bench-codec fuzz mutate-gate mutate-gate-fast
 
 build:
 	$(GO) build ./...
@@ -68,40 +68,6 @@ bench:
 # numcpu/maxprocs/parallelism).
 bench-parallel:
 	$(GO) run ./cmd/bundlebench -exp perf -parallel $(NPROC) -benchout BENCH_parallel.json
-
-# Load-test the serving subsystem (in-process server + HTTP client) and
-# write requests/sec, tail latency and cache/batching counters to
-# BENCH_serve.json, the serving companion of BENCH_greedy.json. The run
-# drives the load with the span recorder off and on, records both
-# throughputs and the relative cost (rps_tracing_off/on,
-# tracing_overhead_pct), and prints a machine-greppable tracing_gate line.
-bench-serve:
-	$(GO) run ./cmd/bundlebench -exp serve -servereqs 2000 -serveconc 16 -benchout BENCH_serve.json
-
-# CI perf gates: fail when the span recorder or the workload accountant
-# costs more than its budget of serving throughput (one bench run prints
-# both machine-greppable gate lines).
-tracing-gate:
-	$(GO) run ./cmd/bundlebench -exp serve -servereqs 2000 -serveconc 16 | tee /tmp/serve-bench.out
-	grep -q 'tracing_gate=ok' /tmp/serve-bench.out
-	grep -q 'usage_gate=ok' /tmp/serve-bench.out
-
-# The usage gate standalone (same bench run, gating only the accountant).
-usage-gate:
-	$(GO) run ./cmd/bundlebench -exp serve -servereqs 2000 -serveconc 16 | tee /tmp/serve-bench.out
-	grep -q 'usage_gate=ok' /tmp/serve-bench.out
-
-# Profile the serving load: whole-run CPU and exit heap profiles for
-# `go tool pprof` (for a live daemon, use -pprof and /debug/pprof instead).
-profile:
-	$(GO) run ./cmd/bundlebench -exp serve -servereqs 2000 -serveconc 16 -cpuprofile cpu.pprof -memprofile mem.pprof
-	@echo "wrote cpu.pprof and mem.pprof; inspect with: go tool pprof cpu.pprof"
-
-# Benchmark distributed stripe-sharded solving: the scatter/gather evaluate
-# path over 1/2/4 in-process workers vs the single-machine Solver, with
-# every result equivalence-checked within 1e-9 (BENCH_cluster.json).
-bench-cluster:
-	$(GO) run ./cmd/bundlebench -exp cluster -servereqs 400 -serveconc 4 -benchout BENCH_cluster.json
 
 # Benchmark the resilience layer: the distributed evaluate path over a
 # 3-worker fleet with fault-injecting transports at 0/10/30% error rates,

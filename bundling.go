@@ -88,8 +88,8 @@
 // with API-key authentication, per-tenant corpus ownership and quotas.
 // The bundling/client package is the Go client; see the README's Serving
 // section for a curl quickstart, docs/API.md and docs/OPERATIONS.md for
-// the full wire and operations references, and cmd/bundlebench -exp serve
-// for the load harness behind BENCH_serve.json.
+// the full wire and operations references, and bench/README.md for the
+// benchmark that drives the daemons end to end.
 //
 // To scale past one machine, the same daemon runs as a cluster
 // coordinator (bundled -workers host:port,...): each corpus's stripes are
@@ -97,7 +97,7 @@
 // and evaluates scatter per span and gather in stripe order, with corpus
 // version checks on every RPC and a local fallback so a degraded fleet
 // affects throughput, never results. See the README's Scaling out section
-// and cmd/bundlebench -exp cluster (BENCH_cluster.json).
+// and cmd/bundlebench -exp chaos (BENCH_chaos.json).
 package bundling
 
 import (

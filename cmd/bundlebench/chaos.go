@@ -17,6 +17,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,11 +30,11 @@ import (
 
 // ChaosRun is one fault level's measured evaluate behavior.
 type ChaosRun struct {
-	FaultRate   float64      `json:"fault_rate"` // injected error probability per call
-	StaleRate   float64      `json:"stale_rate"` // injected stale-span probability per query
-	RPS         float64      `json:"requests_per_second"`
-	DurationSec float64      `json:"duration_seconds"`
-	Latency     ServeLatency `json:"latency"`
+	FaultRate   float64 `json:"fault_rate"` // injected error probability per call
+	StaleRate   float64 `json:"stale_rate"` // injected stale-span probability per query
+	RPS         float64 `json:"requests_per_second"`
+	DurationSec float64 `json:"duration_seconds"`
+	Latency     Latency `json:"latency"`
 
 	RemoteCalls    int64 `json:"remote_calls"`
 	Refeeds        int64 `json:"refeeds"`
@@ -69,9 +70,16 @@ type ChaosReport struct {
 	Runs []ChaosRun `json:"runs"`
 }
 
+// chaosClients closed-loop clients share chaosRequests evaluates at every
+// fault level.
+const (
+	chaosClients  = 8
+	chaosRequests = 600
+)
+
 // runChaos measures the evaluate path through a 3-worker fleet at rising
 // injected-fault rates.
-func runChaos(env *experiments.Env, scaleName, outPath string, base config.Params, conc, totalReqs int) error {
+func runChaos(env *experiments.Env, scaleName, outPath string, base config.Params) error {
 	users := env.W.Consumers()
 	stripeSize := (users + 7) / 8
 	opts := bundling.Options{
@@ -102,8 +110,8 @@ func runChaos(env *experiments.Env, scaleName, outPath string, base config.Param
 		MaxProcs:    runtime.GOMAXPROCS(0),
 		StripeSize:  stripeSize,
 		Workers:     3,
-		Concurrency: conc,
-		Requests:    totalReqs,
+		Concurrency: chaosClients,
+		Requests:    chaosRequests,
 		OfferPool:   len(pool),
 	}
 
@@ -125,20 +133,20 @@ func runChaos(env *experiments.Env, scaleName, outPath string, base config.Param
 			return err
 		}
 
-		lat := make([]time.Duration, totalReqs)
+		lat := make([]time.Duration, chaosRequests)
 		var cursor atomic.Int64
 		var errMu sync.Mutex
 		var firstErr error
 		var maxDiff atomicFloat
 		var wg sync.WaitGroup
 		start := time.Now()
-		for w := 0; w < conc; w++ {
+		for w := 0; w < chaosClients; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for {
 					i := int(cursor.Add(1)) - 1
-					if i >= totalReqs {
+					if i >= chaosRequests {
 						return
 					}
 					p := i % len(pool)
@@ -180,7 +188,7 @@ func runChaos(env *experiments.Env, scaleName, outPath string, base config.Param
 		run := ChaosRun{
 			FaultRate:      rate,
 			StaleRate:      staleRate,
-			RPS:            float64(totalReqs) / dur.Seconds(),
+			RPS:            float64(chaosRequests) / dur.Seconds(),
 			DurationSec:    dur.Seconds(),
 			Latency:        latencySummary(lat),
 			RemoteCalls:    st.RemoteCalls,
@@ -213,3 +221,89 @@ func runChaos(env *experiments.Env, scaleName, outPath string, base config.Param
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
 }
+
+// Latency summarizes a latency distribution in milliseconds.
+type Latency struct {
+	P50 float64 `json:"p50_ms"`
+	P90 float64 `json:"p90_ms"`
+	P99 float64 `json:"p99_ms"`
+	Max float64 `json:"max_ms"`
+}
+
+// latencySummary computes percentile stats in milliseconds.
+func latencySummary(ds []time.Duration) Latency {
+	if len(ds) == 0 {
+		return Latency{}
+	}
+	sorted := append([]time.Duration(nil), ds...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	pick := func(q float64) float64 {
+		idx := int(q * float64(len(sorted)-1))
+		return float64(sorted[idx].Microseconds()) / 1000
+	}
+	return Latency{
+		P50: pick(0.50),
+		P90: pick(0.90),
+		P99: pick(0.99),
+		Max: float64(sorted[len(sorted)-1].Microseconds()) / 1000,
+	}
+}
+
+// offerPool builds n distinct disjoint offer families over the item
+// universe, deterministically.
+func offerPool(items, n int) [][][]int {
+	pool := make([][][]int, n)
+	for p := range pool {
+		var offers [][]int
+		for o := 0; o < 10; o++ {
+			start := (p*17 + o*13) % (items - 3)
+			offers = append(offers, []int{start, start + 1, start + 2})
+		}
+		pool[p] = disjointOffers(offers, items)
+	}
+	return pool
+}
+
+// disjointOffers drops offers overlapping an earlier one, keeping the
+// family valid under pure bundling (and trivially laminar under mixed).
+func disjointOffers(offers [][]int, items int) [][]int {
+	used := make([]bool, items)
+	var out [][]int
+	for _, off := range offers {
+		ok := true
+		for _, it := range off {
+			if it >= items || used[it] {
+				ok = false
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		for _, it := range off {
+			used[it] = true
+		}
+		out = append(out, off)
+	}
+	if len(out) == 0 {
+		out = [][]int{{0, 1}}
+	}
+	return out
+}
+
+// atomicFloat tracks a running maximum across goroutines.
+type atomicFloat struct{ bits atomic.Uint64 }
+
+func (a *atomicFloat) max(v float64) {
+	for {
+		old := a.bits.Load()
+		if math.Float64frombits(old) >= v {
+			return
+		}
+		if a.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
+}
+
+func (a *atomicFloat) load() float64 { return math.Float64frombits(a.bits.Load()) }

@@ -8,29 +8,23 @@
 //
 // Experiments: table1, table2, fig2, fig3, fig4, fig5, fig6, fig7, wsp
 // (Tables 4+5), case (Table 6), ablations, joint (incremental-vs-joint
-// pricing study), welfare, stats (dataset summary), all. The extra `perf`
-// experiment (not part of `all`) benchmarks the greedy and matching hot
-// paths and, with -benchout, emits machine-readable JSON for the perf
-// trajectory tracked in BENCH_greedy.json. The extra `serve` experiment
-// (also not part of `all`) boots the bundled serving subsystem in-process
-// and drives a concurrent mixed solve/evaluate load through the HTTP
-// client, reporting requests/sec, tail latency, and cache/batching
-// counters (BENCH_serve.json via -benchout). `cluster` benchmarks
-// stripe-sharded distributed solving against the single-machine solver
-// (BENCH_cluster.json); `chaos` re-runs the distributed evaluate path
-// under injected transport faults at rising rates, recording throughput,
-// tail latency and fallback rate while equivalence-checking every result
-// (BENCH_chaos.json); `codec` certifies the binary columnar wire/disk
-// format — payload bytes and throughput vs JSON plus all-algorithm
-// equivalence over a binary-fed fleet (BENCH_codec.json).
+// pricing study), welfare, stats (dataset summary), all. Four more are
+// not part of `all`, and each writes its own report with -benchout:
+// `perf` benchmarks the algorithm hot paths (BENCH_greedy.json); `chaos`
+// drives the distributed evaluate path under injected transport faults at
+// rising rates, equivalence-checking every result (BENCH_chaos.json);
+// `codec` certifies the binary columnar wire/disk format — payload bytes
+// and throughput vs JSON plus all-algorithm equivalence over a binary-fed
+// fleet (BENCH_codec.json); `mutate` times a PATCH delta against a full
+// re-upload (BENCH_mutate.json). The serving daemons are benchmarked by
+// the bench/ module.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,57 +32,62 @@ import (
 	"bundling/internal/experiments"
 )
 
+// experimentNames lists every -exp name.
+var experimentNames = []string{"table1", "table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "wsp", "case", "ablations", "joint", "welfare", "stats", "perf", "chaos", "codec", "mutate", "all"}
+
+// benchmarks are the experiments `all` leaves out: each reruns algorithms
+// many times or drives sustained load, and each writes its own -benchout
+// report.
+var benchmarks = []struct {
+	name string
+	run  func(env *experiments.Env, scaleName, outPath string, base config.Params) error
+}{
+	{"perf", runPerf},
+	{"chaos", runChaos},
+	{"codec", runCodec},
+	{"mutate", runMutate},
+}
+
 func main() {
 	var (
-		expFlag    = flag.String("exp", "all", "experiment: table1,table2,fig2,fig3,fig4,fig5,fig6,fig7,wsp,case,ablations,joint,welfare,stats,perf,serve,cluster,chaos,codec,mutate,all")
-		scaleFlag  = flag.String("scale", "bench", "dataset scale: small, bench, full")
-		lambda     = flag.Float64("lambda", experiments.DefaultLambda, "ratings→WTP conversion factor λ")
-		theta      = flag.Float64("theta", 0, "bundling coefficient θ")
-		k          = flag.Int("k", config.Unlimited, "max bundle size (0 = unlimited)")
-		seed       = flag.Int64("seed", 42, "dataset generator seed")
-		benchOut   = flag.String("benchout", "", "perf/serve experiments: write JSON results to this file (e.g. BENCH_greedy.json)")
-		parallel   = flag.Int("parallel", 0, "candidate-pricing workers (0 = GOMAXPROCS); recorded in the perf report")
-		serveConc  = flag.Int("serveconc", 8, "serve experiment: concurrent client workers")
-		serveReqs  = flag.Int("servereqs", 600, "serve experiment: total load-phase requests")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file (go tool pprof)")
+		expFlag   = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experimentNames, ","))
+		scaleFlag = flag.String("scale", "bench", "dataset scale: small, bench, full")
+		lambda    = flag.Float64("lambda", experiments.DefaultLambda, "ratings→WTP conversion factor λ")
+		theta     = flag.Float64("theta", 0, "bundling coefficient θ")
+		k         = flag.Int("k", config.Unlimited, "max bundle size (0 = unlimited)")
+		seed      = flag.Int64("seed", 42, "dataset generator seed")
+		benchOut  = flag.String("benchout", "", "perf/chaos/codec/mutate experiments: write JSON results to this file (e.g. BENCH_greedy.json)")
+		parallel  = flag.Int("parallel", 0, "candidate-pricing workers (0 = GOMAXPROCS); recorded in the perf report")
 	)
 	flag.Parse()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "bundlebench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "bundlebench:", err)
-			os.Exit(1)
-		}
-	}
-	err := run(*expFlag, *scaleFlag, *lambda, *theta, *k, *seed, *benchOut, *parallel, *serveConc, *serveReqs)
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		f, merr := os.Create(*memProfile)
-		if merr != nil {
-			fmt.Fprintln(os.Stderr, "bundlebench:", merr)
-			os.Exit(1)
-		}
-		runtime.GC() // settle the heap so the profile shows live objects
-		if werr := pprof.WriteHeapProfile(f); werr != nil {
-			fmt.Fprintln(os.Stderr, "bundlebench:", werr)
-			os.Exit(1)
-		}
-		f.Close()
-	}
-	if err != nil {
+	if err := run(*expFlag, *scaleFlag, *lambda, *theta, *k, *seed, *benchOut, *parallel); err != nil {
 		fmt.Fprintln(os.Stderr, "bundlebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp, scaleName string, lambda, theta float64, k int, seed int64, benchOut string, parallel, serveConc, serveReqs int) error {
+func run(exp, scaleName string, lambda, theta float64, k int, seed int64, benchOut string, parallel int) error {
+	wants := map[string]bool{}
+	for _, e := range strings.Split(exp, ",") {
+		e = strings.TrimSpace(e)
+		if !slices.Contains(experimentNames, e) {
+			return fmt.Errorf("unknown experiment %q (want %s)", e, strings.Join(experimentNames, ", "))
+		}
+		wants[e] = true
+	}
+	selected := 0
+	for _, b := range benchmarks {
+		if wants[b.name] {
+			selected++
+		}
+	}
+	if benchOut != "" && selected != 1 {
+		// Each benchmark writes its own report schema to -benchout, so
+		// with none the file would never be written and with two the
+		// second would overwrite the first.
+		return fmt.Errorf("-benchout needs exactly one of -exp perf, chaos, codec or mutate, got %d", selected)
+	}
+
 	var scale experiments.Scale
 	switch scaleName {
 	case "small":
@@ -107,20 +106,10 @@ func run(exp, scaleName string, lambda, theta float64, k int, seed int64, benchO
 	params.K = k
 	params.Parallelism = parallel
 
-	wants := map[string]bool{}
-	for _, e := range strings.Split(exp, ",") {
-		wants[strings.TrimSpace(e)] = true
-	}
 	all := wants["all"]
 	need := func(name string) bool { return all || wants[name] }
-	if benchOut != "" && !wants["perf"] && !wants["serve"] && !wants["cluster"] && !wants["chaos"] && !wants["codec"] && !wants["mutate"] {
-		// perf, serve, cluster, chaos and codec are deliberately excluded
-		// from `all`; reject rather than silently dropping the flag (and
-		// never writing the file).
-		return fmt.Errorf("-benchout requires -exp perf, -exp serve, -exp cluster, -exp chaos, -exp codec or -exp mutate")
-	}
 
-	// Table 1 needs no dataset.
+	// Table 1 needs no dataset; every other experiment does.
 	if need("table1") {
 		res, err := experiments.Table1()
 		if err != nil {
@@ -128,19 +117,7 @@ func run(exp, scaleName string, lambda, theta float64, k int, seed int64, benchO
 		}
 		fmt.Println(res.Render())
 	}
-	needEnv := false
-	for _, e := range []string{"table2", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "wsp", "case", "ablations", "joint", "welfare", "stats"} {
-		if need(e) {
-			needEnv = true
-		}
-	}
-	// perf, serve and cluster are opt-in only (not part of `all`): perf
-	// reruns each algorithm many times, and serve/cluster drive sustained
-	// load, any of which would dwarf the table/figure regeneration.
-	if wants["perf"] || wants["serve"] || wants["cluster"] || wants["chaos"] || wants["codec"] || wants["mutate"] {
-		needEnv = true
-	}
-	if !needEnv {
+	if len(wants) == 1 && wants["table1"] {
 		return nil
 	}
 	start := time.Now()
@@ -151,34 +128,12 @@ func run(exp, scaleName string, lambda, theta float64, k int, seed int64, benchO
 	st := env.DS.Summarize()
 	fmt.Printf("dataset: %d users, %d items, %d ratings (generated in %.1fs)\n\n",
 		st.Users, st.Items, st.Ratings, time.Since(start).Seconds())
-	if wants["perf"] {
-		if err := runPerf(env, scaleName, benchOut, params); err != nil {
-			return fmt.Errorf("perf: %w", err)
+	for _, b := range benchmarks {
+		if !wants[b.name] {
+			continue
 		}
-	}
-	if wants["serve"] {
-		if err := runServe(env, scaleName, benchOut, params, serveConc, serveReqs); err != nil {
-			return fmt.Errorf("serve: %w", err)
-		}
-	}
-	if wants["cluster"] {
-		if err := runCluster(env, scaleName, benchOut, params, serveConc, serveReqs); err != nil {
-			return fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if wants["chaos"] {
-		if err := runChaos(env, scaleName, benchOut, params, serveConc, serveReqs); err != nil {
-			return fmt.Errorf("chaos: %w", err)
-		}
-	}
-	if wants["codec"] {
-		if err := runCodec(env, scaleName, benchOut, params); err != nil {
-			return fmt.Errorf("codec: %w", err)
-		}
-	}
-	if wants["mutate"] {
-		if err := runMutate(env, scaleName, benchOut, params); err != nil {
-			return fmt.Errorf("mutate: %w", err)
+		if err := b.run(env, scaleName, benchOut, params); err != nil {
+			return fmt.Errorf("%s: %w", b.name, err)
 		}
 	}
 	if need("stats") {
