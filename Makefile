@@ -105,8 +105,9 @@ mutate-gate-fast:
 	grep -q 'mutate_gate=ok' /tmp/mutate-bench.out
 
 # Short fuzz pass over the incremental-union equivalence property, the WTP
-# matrix's Set/Delete/WithDelta sequences against a dense shadow, and the
-# mixed-bundling price sweep against its per-level reference, then over
+# matrix's Set/Delete/WithDelta sequences against a dense shadow, the
+# mixed-bundling price sweep against its per-level reference, and the
+# worker's query handlers (any body answers 200, 400 or 409), then over
 # each binary codec decoder (truncated, corrupt and hostile inputs must
 # error — never panic or over-allocate). `go test -fuzz` takes one target
 # per run, hence the loop.
@@ -114,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/wtp -fuzz FuzzUnionVectors -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wtp -fuzz FuzzMatrixOps -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/pricing -fuzz FuzzPriceMixedStep -fuzztime 15s -run '^$$'
+	$(GO) test ./internal/cluster -fuzz FuzzWorkerQuery -fuzztime 15s -run '^$$'
 	for f in FuzzDecodeMatrix FuzzDecodeSpan FuzzDecodeRecord FuzzDecodeAssign FuzzDecodeDelta; do \
 		$(GO) test ./internal/codec -fuzz $$f -fuzztime 15s -run '^$$' || exit 1; \
 	done

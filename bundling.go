@@ -340,7 +340,7 @@ func (s *Solver) EvaluateAggregated(offers [][]int, agg Aggregator) (*Configurat
 }
 
 // EvaluateAggregatedContext is EvaluateAggregated under a context: ctx is
-// handed to every aggregator reduction and checked between offers, so
+// handed to every aggregator reduction and checked before each, so
 // distributed evaluates inherit the caller's deadline.
 func (s *Solver) EvaluateAggregatedContext(ctx context.Context, offers [][]int, agg Aggregator) (*Configuration, error) {
 	return s.inner.EvaluateAggregatedContext(ctx, offers, agg)

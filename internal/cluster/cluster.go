@@ -145,11 +145,13 @@ func (s *Solver) SolveContext(ctx context.Context, a bundling.Algorithm) (*bundl
 	return s.inner.SolveContext(ctx, a)
 }
 
-// Evaluate prices a caller-proposed lineup. Pure-bundling evaluates take
-// the aggregate fast path — per offer, two scatter/gather rounds of O(T)
-// response data per span (max, then histogram) instead of shipping every
-// interested consumer; mixed evaluates, which thread per-consumer state
-// between offers, gather full vectors through the executor.
+// Evaluate prices a caller-proposed lineup in a fixed number of
+// scatter/gather rounds, whatever its size. Pure-bundling evaluates take the
+// aggregate fast path — two rounds for the whole lineup (every offer's
+// maximum, then every interested offer's histogram) of O(T) response data
+// per offer and span instead of shipping every interested consumer; mixed
+// evaluates, which thread per-consumer state between offers, gather every
+// offer's full vector in one round through the executor.
 func (s *Solver) Evaluate(offers [][]int) (*bundling.Configuration, error) {
 	return s.EvaluateContext(context.Background(), offers)
 }
@@ -391,29 +393,40 @@ func (x *executor) forEachSpan(fn func(i int)) {
 
 // callSpan runs one span request through the retry ladder: primary (with a
 // re-feed retry on a stale/missing span), then the replica worker (fed on
-// demand), then the local span store. It cannot fail — the ladder ends on
-// local compute — which is what lets the engine's vector paths stay
-// error-free. Every RPC derives its deadline from parent, so the ladder
-// never outlives its caller: under a canceled parent the workers fail fast
-// and the local store answers (the engine aborts at its next cancellation
-// check, discarding the result).
-func callSpan[T any](x *executor, parent context.Context, sl *spanSlot, op string, call func(ctx context.Context, t Transport) (T, error), local func(sp *wtp.SpanStore) T) T {
-	if v, err := tryWorker(x, parent, sl, sl.primary, op, "primary", call); err == nil {
-		return v
-	} else if len(x.workers) > 1 && parent.Err() == nil {
+// demand), then the local span store. A reply that fails valid — a worker
+// answering with the wrong shape — is recomputed locally too, before it can
+// reach a reduction. It cannot fail — the ladder ends on local compute —
+// which is what lets the engine's vector paths stay error-free. Every RPC
+// derives its deadline from parent, so the ladder never outlives its caller:
+// under a canceled parent the workers fail fast and the local store answers
+// (the engine aborts at its next cancellation check, discarding the result).
+func callSpan[T any](x *executor, parent context.Context, sl *spanSlot, op string, call func(ctx context.Context, t Transport, key string) (T, error), local func(sp *wtp.SpanStore) T, valid func(T) bool) T {
+	v, err := tryWorker(x, parent, sl, sl.primary, op, "primary", call)
+	if err != nil && len(x.workers) > 1 && parent.Err() == nil {
 		x.replicaRetries.Add(1)
-		if v, err = tryWorker(x, parent, sl, (sl.primary+1)%len(x.workers), op, "replica", call); err == nil {
-			return v
-		}
+		v, err = tryWorker(x, parent, sl, (sl.primary+1)%len(x.workers), op, "replica", call)
+	}
+	if err == nil && valid(v) {
+		return v
 	}
 	x.localFallbacks.Add(1)
 	_, sp := obs.StartSpan(parent, "rpc")
 	sp.Tag("op", op)
 	sp.Tag("worker", "local")
 	sp.Tag("outcome", "local_fallback")
-	v := local(sl.localStore())
+	v = local(sl.localStore())
 	sp.End()
 	return v
+}
+
+// gather runs one request per span through callSpan, concurrently, and
+// returns the replies in stripe order: one scatter round.
+func gather[T any](x *executor, ctx context.Context, op string, call func(ctx context.Context, t Transport, key string) (T, error), local func(sp *wtp.SpanStore) T, valid func(T) bool) []T {
+	parts := make([]T, len(x.spans))
+	x.forEachSpan(func(i int) {
+		parts[i] = callSpan(x, ctx, x.spans[i], op, call, local, valid)
+	})
+	return parts
 }
 
 // tryWorker issues op against one worker, re-feeding the span and retrying
@@ -424,7 +437,7 @@ func callSpan[T any](x *executor, parent context.Context, sl *spanSlot, op strin
 // sent the full transfer on every request. An open circuit breaker (see
 // NewBreaker) rejects before dialing; the rejection is counted and the
 // ladder moves straight on to the replica or local store.
-func tryWorker[T any](x *executor, parent context.Context, sl *spanSlot, wi int, op, role string, call func(ctx context.Context, t Transport) (T, error)) (T, error) {
+func tryWorker[T any](x *executor, parent context.Context, sl *spanSlot, wi int, op, role string, call func(ctx context.Context, t Transport, key string) (T, error)) (T, error) {
 	t := x.workers[wi]
 	sctx, sp := obs.StartSpan(parent, "rpc")
 	sp.Tag("op", op)
@@ -433,7 +446,7 @@ func tryWorker[T any](x *executor, parent context.Context, sl *spanSlot, wi int,
 	defer sp.End()
 	ctx, cancel := context.WithTimeout(sctx, x.timeout)
 	x.remoteCalls.Add(1)
-	v, err := call(ctx, t)
+	v, err := call(ctx, t, sl.key)
 	cancel()
 	if err != nil && errors.Is(err, ErrBreakerOpen) {
 		x.breakerSkips.Add(1)
@@ -469,7 +482,7 @@ func tryWorker[T any](x *executor, parent context.Context, sl *spanSlot, wi int,
 	rctx, rcancel := context.WithTimeout(sctx, x.timeout)
 	defer rcancel()
 	x.remoteCalls.Add(1)
-	v, err = call(rctx, t)
+	v, err = call(rctx, t, sl.key)
 	sp.Tag("outcome", outcomeTag(err))
 	return v, err
 }
@@ -482,24 +495,63 @@ func outcomeTag(err error) string {
 	return "error"
 }
 
-// BundleVector implements config.StripeExecutor: per-span vectors gathered
-// and concatenated in stripe order — identical to the local shard
-// reduction.
+// BundleVector implements config.StripeExecutor as a one-bundle batch.
 func (x *executor) BundleVector(ctx context.Context, items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	parts := make([]VectorResponse, len(x.spans))
-	x.forEachSpan(func(i int) {
-		sl := x.spans[i]
-		req := VectorRequest{Version: x.version, Items: items, Theta: theta}
-		parts[i] = callSpan(x, ctx, sl, "vector",
-			func(ctx context.Context, t Transport) (VectorResponse, error) {
-				return t.Vector(ctx, sl.key, req)
-			},
-			func(sp *wtp.SpanStore) VectorResponse {
-				ids, vals := sp.BundleVector(items, theta, nil, nil)
-				return VectorResponse{IDs: ids, Vals: vals}
-			})
-	})
-	return concat(parts, dstIDs, dstVals)
+	parts := x.vectors(ctx, []Bundle{{Items: items, Theta: theta}})
+	return appendBundle(parts, 0, dstIDs[:0], dstVals[:0])
+}
+
+// BundleVectors implements config.StripeExecutor: one scatter round gathers
+// every bundle's per-span vectors, and each bundle's parts concatenate in
+// stripe order — identical to the local shard reduction.
+func (x *executor) BundleVectors(ctx context.Context, sets [][]int, thetas []float64) ([][]int, [][]float64) {
+	parts := x.vectors(ctx, bundlesOf(sets, thetas))
+	ids, vals := make([][]int, len(sets)), make([][]float64, len(sets))
+	for k := range sets {
+		ids[k], vals[k] = appendBundle(parts, k, nil, nil)
+	}
+	return ids, vals
+}
+
+// vectors gathers every span's vectors for the bundles in one scatter round.
+func (x *executor) vectors(ctx context.Context, bundles []Bundle) []VectorResponse {
+	req := VectorRequest{Version: x.version, Bundles: bundles}
+	return gather(x, ctx, "vector",
+		func(ctx context.Context, t Transport, key string) (VectorResponse, error) {
+			return t.Vector(ctx, key, req)
+		},
+		func(sp *wtp.SpanStore) VectorResponse { return spanVectors(sp, bundles) },
+		func(r VectorResponse) bool { return validVectors(r, len(bundles)) })
+}
+
+// validVectors reports whether a vector reply has the shape of n bundles:
+// aligned ids and values, and n end offsets ascending to len(IDs).
+func validVectors(r VectorResponse, n int) bool {
+	if len(r.IDs) != len(r.Vals) || len(r.Ends) != n {
+		return false
+	}
+	end := 0
+	for _, e := range r.Ends {
+		if e < end {
+			return false
+		}
+		end = e
+	}
+	return end == len(r.IDs)
+}
+
+// appendBundle appends bundle k's per-span vectors to dst in stripe order.
+func appendBundle(parts []VectorResponse, k int, dstIDs []int, dstVals []float64) ([]int, []float64) {
+	for i := range parts {
+		p := &parts[i]
+		lo := 0
+		if k > 0 {
+			lo = p.Ends[k-1]
+		}
+		dstIDs = append(dstIDs, p.IDs[lo:p.Ends[k]]...)
+		dstVals = append(dstVals, p.Vals[lo:p.Ends[k]]...)
+	}
+	return dstIDs, dstVals
 }
 
 // UnionVectors implements config.StripeExecutor: the two cached vectors are
@@ -526,27 +578,21 @@ func (x *executor) UnionVectors(ctx context.Context, aIDs []int, aVals []float64
 		if c.a0 == c.a1 && c.b0 == c.b1 {
 			return // nothing in this span
 		}
-		sl := x.spans[i]
 		req := UnionRequest{
 			Version: x.version,
 			AIDs:    aIDs[c.a0:c.a1], AVals: aVals[c.a0:c.a1], SA: sa,
 			BIDs: bIDs[c.b0:c.b1], BVals: bVals[c.b0:c.b1], SB: sb,
 		}
-		parts[i] = callSpan(x, ctx, sl, "union",
-			func(ctx context.Context, t Transport) (VectorResponse, error) {
-				return t.Union(ctx, sl.key, req)
+		parts[i] = callSpan(x, ctx, x.spans[i], "union",
+			func(ctx context.Context, t Transport, key string) (VectorResponse, error) {
+				return t.Union(ctx, key, req)
 			},
 			func(sp *wtp.SpanStore) VectorResponse {
 				ids, vals := sp.UnionVectors(req.AIDs, req.AVals, sa, req.BIDs, req.BVals, sb, nil, nil)
 				return VectorResponse{IDs: ids, Vals: vals}
-			})
+			},
+			func(r VectorResponse) bool { return len(r.IDs) == len(r.Vals) })
 	})
-	return concat(parts, dstIDs, dstVals)
-}
-
-// concat gathers per-span vectors in stripe order into the reused
-// destination slices.
-func concat(parts []VectorResponse, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	dstIDs, dstVals = dstIDs[:0], dstVals[:0]
 	for i := range parts {
 		dstIDs = append(dstIDs, parts[i].IDs...)
@@ -555,59 +601,54 @@ func concat(parts []VectorResponse, dstIDs []int, dstVals []float64) ([]int, []f
 	return dstIDs, dstVals
 }
 
-// BundleMax implements config.Aggregator: span maxima reduced by max.
-func (x *executor) BundleMax(ctx context.Context, items []int, theta float64) float64 {
-	parts := make([]StatsResponse, len(x.spans))
-	x.forEachSpan(func(i int) {
-		sl := x.spans[i]
-		req := StatsRequest{Version: x.version, Items: items, Theta: theta}
-		parts[i] = callSpan(x, ctx, sl, "stats",
-			func(ctx context.Context, t Transport) (StatsResponse, error) {
-				return t.Stats(ctx, sl.key, req)
-			},
-			func(sp *wtp.SpanStore) StatsResponse {
-				return spanStats(sp, items, theta)
-			})
-	})
-	var maxW float64
-	for i := range parts {
-		if parts[i].Max > maxW {
-			maxW = parts[i].Max
+// BundleMax implements config.Aggregator: one scatter round, each bundle's
+// span maxima reduced by max.
+func (x *executor) BundleMax(ctx context.Context, sets [][]int, thetas, maxW []float64) {
+	bundles := bundlesOf(sets, thetas)
+	req := StatsRequest{Version: x.version, Bundles: bundles}
+	parts := gather(x, ctx, "stats",
+		func(ctx context.Context, t Transport, key string) (StatsResponse, error) {
+			return t.Stats(ctx, key, req)
+		},
+		func(sp *wtp.SpanStore) StatsResponse { return spanStats(sp, bundles) },
+		func(r StatsResponse) bool { return len(r.Max) == len(bundles) })
+	for k := range maxW {
+		maxW[k] = 0
+		for i := range parts {
+			if parts[i].Max[k] > maxW[k] {
+				maxW[k] = parts[i].Max[k]
+			}
 		}
 	}
-	return maxW
 }
 
-// BundleHistogram implements config.Aggregator: span histogram partials
-// reduced by element-wise addition, in stripe order for determinism.
-func (x *executor) BundleHistogram(ctx context.Context, items []int, theta float64, maxW float64, counts, sums []float64) {
-	parts := make([]HistResponse, len(x.spans))
-	x.forEachSpan(func(i int) {
-		sl := x.spans[i]
-		req := HistRequest{
-			Version: x.version, Items: items, Theta: theta,
-			MaxW: maxW, Alpha: x.alpha, Levels: x.levels,
-		}
-		parts[i] = callSpan(x, ctx, sl, "hist",
-			func(ctx context.Context, t Transport) (HistResponse, error) {
-				return t.Hist(ctx, sl.key, req)
-			},
-			func(sp *wtp.SpanStore) HistResponse {
-				return spanHist(sp, items, theta, maxW, x.alpha, x.levels)
-			})
-	})
+// BundleHistogram implements config.Aggregator: one scatter round, the span
+// histogram partials reduced by element-wise addition in stripe order for
+// determinism.
+func (x *executor) BundleHistogram(ctx context.Context, sets [][]int, thetas, maxW []float64, counts, sums []float64) {
+	bundles := bundlesOf(sets, thetas)
+	req := HistRequest{Version: x.version, Bundles: bundles, MaxW: maxW, Alpha: x.alpha, Levels: x.levels}
+	parts := gather(x, ctx, "hist",
+		func(ctx context.Context, t Transport, key string) (HistResponse, error) {
+			return t.Hist(ctx, key, req)
+		},
+		func(sp *wtp.SpanStore) HistResponse { return spanHist(sp, bundles, maxW, x.alpha, x.levels) },
+		func(r HistResponse) bool { return len(r.Counts) == len(counts) && len(r.Sums) == len(sums) })
 	for i := range parts {
-		if len(parts[i].Counts) != len(counts) || len(parts[i].Sums) != len(sums) {
-			// A worker answering with the wrong grid is a protocol bug;
-			// recompute the span locally rather than corrupt the reduction.
-			parts[i] = spanHist(x.spans[i].localStore(), items, theta, maxW, x.alpha, x.levels)
-			x.localFallbacks.Add(1)
-		}
 		for t := range counts {
 			counts[t] += parts[i].Counts[t]
 			sums[t] += parts[i].Sums[t]
 		}
 	}
+}
+
+// bundlesOf pairs a lineup's sets with their θs for the wire.
+func bundlesOf(sets [][]int, thetas []float64) []Bundle {
+	bundles := make([]Bundle, len(sets))
+	for k, items := range sets {
+		bundles[k] = Bundle{Items: items, Theta: thetas[k]}
+	}
+	return bundles
 }
 
 // corpusSeq disambiguates auto-generated corpus keys within one process.

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"bundling"
+	"bundling/internal/pricing"
 )
 
 // testMatrix builds a deterministic sparse corpus with enough consumers for
@@ -74,21 +76,76 @@ func evalOffers() [][]int {
 	return [][]int{{0, 1, 2}, {3, 7}, {4}, {5, 8, 9}}
 }
 
+// evalLineups are TestClusterMatchesLocal's evaluate lineups over items
+// [0, 12): the fixed family, a single offer, and under mixed bundling nested
+// lineups, whose offers price over the parts they contain.
+func evalLineups(strategy bundling.Strategy) [][][]int {
+	lineups := [][][]int{evalOffers(), {{2, 5, 6}}}
+	if strategy == bundling.Mixed {
+		lineups = append(lineups,
+			[][]int{{0, 1}, {0, 1, 2}, {3, 7}, {3, 4, 7, 8}},
+			[][]int{{5}, {5, 6}, {5, 6, 9}, {10}, {10, 11}, {0, 1, 2, 3}})
+	}
+	return lineups
+}
+
+// withUnratedItem copies w with one more item, which no consumer rated.
+func withUnratedItem(w *bundling.Matrix) *bundling.Matrix {
+	wide := bundling.NewMatrix(w.Consumers(), w.Items()+1)
+	for i := 0; i < w.Items(); i++ {
+		for _, e := range w.Postings(i) {
+			wide.MustSet(e.Consumer, i, e.Value)
+		}
+	}
+	return wide
+}
+
+// sameEvaluates asserts the coordinator prices every lineup as the local
+// solver does.
+func sameEvaluates(t *testing.T, label string, cs *Solver, local *bundling.Solver, lineups [][][]int) {
+	t.Helper()
+	for _, offers := range lineups {
+		want, err := local.Evaluate(offers)
+		if err != nil {
+			t.Fatalf("%s %v local: %v", label, offers, err)
+		}
+		got, err := cs.Evaluate(offers)
+		if err != nil {
+			t.Fatalf("%s %v: %v", label, offers, err)
+		}
+		sameConfig(t, fmt.Sprintf("%s %v", label, offers), got, want)
+	}
+}
+
 // TestClusterMatchesLocal is the acceptance gate: all five algorithms, pure
 // and mixed, must match the single-machine Solver within 1e-9 across 1, 2
 // and 4 in-process workers — and so must the evaluate paths (aggregated
-// under pure, vector gather under mixed).
+// under pure, vector gather under mixed), including lineups with an offer
+// over an item no consumer rated.
 func TestClusterMatchesLocal(t *testing.T) {
 	w := testMatrix(t, 150, 12, 1)
+	wide := withUnratedItem(w)
 	for _, strategy := range []bundling.Strategy{bundling.Pure, bundling.Mixed} {
 		opts := bundling.Options{Strategy: strategy, Theta: -0.1, StripeSize: 16}
 		local, err := bundling.NewSolver(w, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		localWide, err := bundling.NewSolver(wide, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unrated := [][][]int{{{12}}, {{0, 1}, {12}}, {{3, 12}, {4}}}
+		if strategy == bundling.Mixed {
+			unrated = append(unrated, [][]int{{12}, {11, 12}, {5, 11, 12}})
+		}
 		for _, workers := range []int{1, 2, 4} {
 			_, transports := fleet(workers)
 			cs, err := NewSolver(w, opts, Config{Workers: transports})
+			if err != nil {
+				t.Fatal(err)
+			}
+			csWide, err := NewSolver(wide, opts, Config{Workers: transports})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,22 +164,171 @@ func TestClusterMatchesLocal(t *testing.T) {
 				}
 				sameConfig(t, label, got, want)
 			}
-			want, err := local.Evaluate(evalOffers())
-			if err != nil {
+			sameEvaluates(t, "evaluate/"+strategy.String(), cs, local, evalLineups(strategy))
+			sameEvaluates(t, "evaluate-unrated/"+strategy.String(), csWide, localWide, unrated)
+			for _, st := range []Stats{cs.ClusterStats(), csWide.ClusterStats()} {
+				if st.RemoteCalls == 0 {
+					t.Fatalf("strategy %v workers %d: no remote calls issued", strategy, workers)
+				}
+				if st.LocalFallbacks != 0 {
+					t.Fatalf("strategy %v workers %d: %d unexpected local fallbacks", strategy, workers, st.LocalFallbacks)
+				}
+			}
+		}
+	}
+}
+
+// TestEvaluateRoundsPerLineup: an evaluate costs a fixed number of scatter
+// rounds whatever the lineup's size — one RPC per span for every offer's
+// maximum and one for every interested offer's histogram under pure
+// bundling (the maxima alone when no offer has an interested consumer), one
+// per span for every offer's vector under mixed bundling.
+func TestEvaluateRoundsPerLineup(t *testing.T) {
+	w := withUnratedItem(testMatrix(t, 150, 16, 13)) // item 16 is unrated
+	for _, strategy := range []bundling.Strategy{bundling.Pure, bundling.Mixed} {
+		_, transports := fleet(2)
+		cs, err := NewSolver(w, bundling.Options{Strategy: strategy, StripeSize: 16}, Config{Workers: transports})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs.exec.feeding.Wait()
+		spans := int64(cs.ClusterStats().Spans)
+		calls := func(offers [][]int) int64 {
+			t.Helper()
+			before := cs.ClusterStats().RemoteCalls
+			if _, err := cs.Evaluate(offers); err != nil {
 				t.Fatal(err)
 			}
-			got, err := cs.Evaluate(evalOffers())
-			if err != nil {
-				t.Fatal(err)
+			return cs.ClusterStats().RemoteCalls - before
+		}
+		want := 2 * spans
+		if strategy == bundling.Mixed {
+			want = spans
+		}
+		for n := 1; n <= 8; n++ {
+			offers := make([][]int, n)
+			for k := range offers {
+				offers[k] = []int{2 * k, 2*k + 1}
 			}
-			sameConfig(t, "evaluate/"+strategy.String(), got, want)
-			st := cs.ClusterStats()
-			if st.RemoteCalls == 0 {
-				t.Fatalf("strategy %v workers %d: no remote calls issued", strategy, workers)
+			if got := calls(offers); got != want {
+				t.Fatalf("%v, %d offers: %d RPCs over %d spans, want %d", strategy, n, got, spans, want)
 			}
-			if st.LocalFallbacks != 0 {
-				t.Fatalf("strategy %v workers %d: %d unexpected local fallbacks", strategy, workers, st.LocalFallbacks)
+			if got := calls(append(offers, []int{16})); got != want {
+				t.Fatalf("%v, %d offers and an unrated one: %d RPCs over %d spans, want %d", strategy, n, got, spans, want)
 			}
+		}
+		if got := calls([][]int{{16}}); got != spans {
+			t.Fatalf("%v, an unrated offer alone: %d RPCs, want %d", strategy, got, spans)
+		}
+		if st := cs.ClusterStats(); st.Refeeds != 0 || st.LocalFallbacks != 0 {
+			t.Fatalf("%v: rounds must all be served remotely, stats %+v", strategy, st)
+		}
+	}
+}
+
+// TestEvaluateHistogramBatches: a pure lineup whose histograms exceed
+// pricing.MaxHistogramCells prices them in batches under the cap — at 65,536
+// levels, 16 interested offers take two histogram rounds — and still
+// matches local.
+func TestEvaluateHistogramBatches(t *testing.T) {
+	w := withUnratedItem(testMatrix(t, 150, 16, 13)) // item 16 is unrated
+	opts := bundling.Options{StripeSize: 16, PriceLevels: pricing.MaxLevels}
+	local, err := bundling.NewSolver(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, transports := fleet(2)
+	cs, err := NewSolver(w, opts, Config{Workers: transports})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs.exec.feeding.Wait()
+	offers := make([][]int, w.Items())
+	for i := range offers {
+		offers[i] = []int{i}
+	}
+	sameEvaluates(t, "batches", cs, local, [][][]int{offers})
+	if st := cs.ClusterStats(); st.RemoteCalls != 3*int64(st.Spans) || st.LocalFallbacks != 0 {
+		t.Fatalf("want 3 remote rounds over %d spans, stats %+v", st.Spans, st)
+	}
+}
+
+// lying wraps a transport and corrupts the shape of its query replies.
+type lying struct {
+	Transport
+	vector func(*VectorResponse)
+	stats  func(*StatsResponse)
+	hist   func(*HistResponse)
+}
+
+func (l *lying) Vector(ctx context.Context, corpus string, req VectorRequest) (VectorResponse, error) {
+	r, err := l.Transport.Vector(ctx, corpus, req)
+	if err == nil && l.vector != nil {
+		l.vector(&r)
+	}
+	return r, err
+}
+
+func (l *lying) Stats(ctx context.Context, corpus string, req StatsRequest) (StatsResponse, error) {
+	r, err := l.Transport.Stats(ctx, corpus, req)
+	if err == nil && l.stats != nil {
+		l.stats(&r)
+	}
+	return r, err
+}
+
+func (l *lying) Hist(ctx context.Context, corpus string, req HistRequest) (HistResponse, error) {
+	r, err := l.Transport.Hist(ctx, corpus, req)
+	if err == nil && l.hist != nil {
+		l.hist(&r)
+	}
+	return r, err
+}
+
+// TestClusterRejectsMalformedReplies: a worker reply of the wrong shape is
+// recomputed from the coordinator's local span store before it reaches a
+// reduction, so results still match local and the recompute counts as a
+// local fallback.
+func TestClusterRejectsMalformedReplies(t *testing.T) {
+	w := testMatrix(t, 150, 12, 1)
+	for _, tc := range []struct {
+		name     string
+		strategy bundling.Strategy
+		lie      lying
+	}{
+		{"truncated vals", bundling.Mixed, lying{vector: func(r *VectorResponse) {
+			if len(r.Vals) > 0 {
+				r.Vals = r.Vals[:len(r.Vals)-1]
+			}
+		}}},
+		{"descending ends", bundling.Mixed, lying{vector: func(r *VectorResponse) {
+			if len(r.Ends) > 1 && r.Ends[len(r.Ends)-1] > 0 {
+				r.Ends[0] = r.Ends[len(r.Ends)-1]
+				r.Ends[1] = 0
+			}
+		}}},
+		{"short ends", bundling.Mixed, lying{vector: func(r *VectorResponse) { r.Ends = r.Ends[:len(r.Ends)-1] }}},
+		{"short max", bundling.Pure, lying{stats: func(r *StatsResponse) { r.Max = r.Max[:len(r.Max)-1] }}},
+		{"short histogram", bundling.Pure, lying{hist: func(r *HistResponse) { r.Counts = r.Counts[:len(r.Counts)-1] }}},
+	} {
+		opts := bundling.Options{Strategy: tc.strategy, Theta: -0.1, StripeSize: 16}
+		local, err := bundling.NewSolver(w, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, transports := fleet(2)
+		for i := range transports {
+			lie := tc.lie
+			lie.Transport = transports[i]
+			transports[i] = &lie
+		}
+		cs, err := NewSolver(w, opts, Config{Workers: transports})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameEvaluates(t, tc.name, cs, local, evalLineups(tc.strategy))
+		if st := cs.ClusterStats(); st.LocalFallbacks == 0 {
+			t.Fatalf("%s: malformed replies were not recomputed locally, stats %+v", tc.name, st)
 		}
 	}
 }

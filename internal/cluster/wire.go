@@ -9,7 +9,9 @@
 // vectors, cached-vector unions, and pricing aggregates (max + histogram) —
 // with the exact per-stripe kernels the single-machine shard uses, so per-span
 // results concatenated (or summed) in stripe order reproduce the local
-// Solver's arithmetic.
+// Solver's arithmetic. Vector and aggregate queries carry a whole lineup's
+// bundles, so an evaluate costs a fixed number of scatter rounds: two for a
+// pure lineup (maxima, then histograms) and one for a mixed one (vectors).
 //
 // The coordinator side is cluster.Solver, which implements the same
 // Solve/Evaluate/Stats surface as bundling.Solver so the bundled daemon can
@@ -59,19 +61,28 @@ type DeltaRequest struct {
 	Cells       []wtp.Cell `json:"cells,omitempty"`
 }
 
-// VectorRequest asks a worker for its span's share of a bundle's
-// interested-consumer vector (Eq. 1).
-type VectorRequest struct {
-	Version uint64  `json:"version"` // corpus snapshot version the caller serves
-	Items   []int   `json:"items"`
-	Theta   float64 `json:"theta"`
+// Bundle is one bundle of a batched span query: its item set and the θ its
+// Eq. 1 WTP is computed under.
+type Bundle struct {
+	Items []int   `json:"items"`
+	Theta float64 `json:"theta"`
 }
 
-// VectorResponse carries a per-span consumer vector: ascending consumer ids
-// within the span and the aligned WTP values.
+// VectorRequest asks a worker for its span's share of each bundle's
+// interested-consumer vector (Eq. 1).
+type VectorRequest struct {
+	Version uint64   `json:"version"` // corpus snapshot version the caller serves
+	Bundles []Bundle `json:"bundles"`
+}
+
+// VectorResponse carries per-span consumer vectors: ascending consumer ids
+// within the span and the aligned WTP values. A vector reply concatenates
+// its bundles' vectors, and Ends[k] is where bundle k's ends; a union reply
+// is one vector and carries no Ends.
 type VectorResponse struct {
 	IDs  []int     `json:"ids"`
 	Vals []float64 `json:"vals"`
+	Ends []int     `json:"ends,omitempty"`
 }
 
 // UnionRequest asks a worker to merge the span-restricted slices of two
@@ -86,32 +97,33 @@ type UnionRequest struct {
 	SB      float64   `json:"sb"`
 }
 
-// StatsRequest asks for a span's pricing pre-aggregate: the maximum bundle
-// WTP (phase one of the two-round aggregate pricing).
+// StatsRequest asks for a span's pricing pre-aggregates: each bundle's
+// maximum WTP (phase one of the two-round aggregate pricing).
 type StatsRequest struct {
-	Version uint64  `json:"version"`
-	Items   []int   `json:"items"`
-	Theta   float64 `json:"theta"`
+	Version uint64   `json:"version"`
+	Bundles []Bundle `json:"bundles"`
 }
 
-// StatsResponse is a span's pricing pre-aggregate; Max reduces by max.
+// StatsResponse is a span's pricing pre-aggregates, one per bundle; each
+// reduces by max.
 type StatsResponse struct {
-	Max float64 `json:"max"` // maximum Eq. 1 bundle WTP in the span
+	Max []float64 `json:"max"` // maximum Eq. 1 bundle WTP in the span
 }
 
-// HistRequest asks for a span's pricing histogram against the global
-// maximum WTP (phase two; see pricing.Histogram).
+// HistRequest asks for a span's pricing histograms, each bundle's against
+// its global maximum WTP (phase two; see pricing.Histogram).
+// len(Bundles)·(Levels+1) is capped at pricing.MaxHistogramCells.
 type HistRequest struct {
-	Version uint64  `json:"version"`
-	Items   []int   `json:"items"`
-	Theta   float64 `json:"theta"`
-	MaxW    float64 `json:"max_w"`  // global maximum bundle WTP
-	Alpha   float64 `json:"alpha"`  // adoption bias α of the pricing model
-	Levels  int     `json:"levels"` // price levels T
+	Version uint64    `json:"version"`
+	Bundles []Bundle  `json:"bundles"`
+	MaxW    []float64 `json:"max_w"`  // each bundle's global maximum WTP
+	Alpha   float64   `json:"alpha"`  // adoption bias α of the pricing model
+	Levels  int       `json:"levels"` // price levels T
 }
 
-// HistResponse carries a span's pricing histogram partial; both arrays have
-// Levels+1 entries and reduce by element-wise addition.
+// HistResponse carries a span's pricing histogram partials, bundle-major:
+// bundle k's Levels+1 entries start at k·(Levels+1). Both arrays reduce by
+// element-wise addition.
 type HistResponse struct {
 	Counts []float64 `json:"counts"`
 	Sums   []float64 `json:"sums"`

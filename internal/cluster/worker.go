@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -228,21 +229,25 @@ func (wk *Worker) span(corpus string, version uint64) (*wtp.SpanStore, error) {
 	return sp.store, nil
 }
 
-// Vector computes the span's share of a bundle's interested-consumer vector.
+// Vector computes the span's share of each bundle's interested-consumer
+// vector.
 func (wk *Worker) Vector(corpus string, req VectorRequest) (VectorResponse, error) {
 	start := time.Now()
-	sp, err := wk.span(corpus, req.Version)
+	sp, err := wk.querySpan(corpus, req.Version, req.Bundles)
 	if err != nil {
 		return VectorResponse{}, err
 	}
-	ids, vals := sp.BundleVector(req.Items, req.Theta, nil, nil)
+	resp := spanVectors(sp, req.Bundles)
 	wk.met.Observe("vector", time.Since(start))
-	return VectorResponse{IDs: ids, Vals: vals}, nil
+	return resp, nil
 }
 
 // Union merges the span-restricted slices of two cached consumer vectors.
 func (wk *Worker) Union(corpus string, req UnionRequest) (VectorResponse, error) {
 	start := time.Now()
+	if len(req.AIDs) != len(req.AVals) || len(req.BIDs) != len(req.BVals) {
+		return VectorResponse{}, fmt.Errorf("cluster: union of %d ids with %d values and %d ids with %d values", len(req.AIDs), len(req.AVals), len(req.BIDs), len(req.BVals))
+	}
 	sp, err := wk.span(corpus, req.Version)
 	if err != nil {
 		return VectorResponse{}, err
@@ -252,31 +257,56 @@ func (wk *Worker) Union(corpus string, req UnionRequest) (VectorResponse, error)
 	return VectorResponse{IDs: ids, Vals: vals}, nil
 }
 
-// Stats computes the span's pricing pre-aggregate for a bundle.
+// Stats computes the span's pricing pre-aggregate for each bundle.
 func (wk *Worker) Stats(corpus string, req StatsRequest) (StatsResponse, error) {
 	start := time.Now()
-	sp, err := wk.span(corpus, req.Version)
+	sp, err := wk.querySpan(corpus, req.Version, req.Bundles)
 	if err != nil {
 		return StatsResponse{}, err
 	}
-	resp := spanStats(sp, req.Items, req.Theta)
+	resp := spanStats(sp, req.Bundles)
 	wk.met.Observe("stats", time.Since(start))
 	return resp, nil
 }
 
-// Hist computes the span's pricing-histogram partial for a bundle.
+// Hist computes the span's pricing-histogram partial for each bundle.
 func (wk *Worker) Hist(corpus string, req HistRequest) (HistResponse, error) {
 	start := time.Now()
-	if req.Levels <= 0 || req.Levels > 1<<20 {
-		return HistResponse{}, fmt.Errorf("cluster: %d price levels out of range", req.Levels)
+	switch {
+	case req.Levels < 1 || req.Levels > pricing.MaxLevels:
+		return HistResponse{}, fmt.Errorf("cluster: %d price levels outside [1,%d]", req.Levels, pricing.MaxLevels)
+	case !(req.Alpha > 0) || math.IsInf(req.Alpha, 1):
+		return HistResponse{}, fmt.Errorf("cluster: α=%g must be finite and > 0", req.Alpha)
+	case len(req.MaxW) != len(req.Bundles):
+		return HistResponse{}, fmt.Errorf("cluster: %d maxima for %d bundles", len(req.MaxW), len(req.Bundles))
+	case len(req.Bundles) > pricing.MaxHistogramCells/(req.Levels+1):
+		return HistResponse{}, fmt.Errorf("cluster: %d bundles of %d levels exceed %d histogram cells", len(req.Bundles), req.Levels+1, pricing.MaxHistogramCells)
 	}
-	sp, err := wk.span(corpus, req.Version)
+	sp, err := wk.querySpan(corpus, req.Version, req.Bundles)
 	if err != nil {
 		return HistResponse{}, err
 	}
-	resp := spanHist(sp, req.Items, req.Theta, req.MaxW, req.Alpha, req.Levels)
+	resp := spanHist(sp, req.Bundles, req.MaxW, req.Alpha, req.Levels)
 	wk.met.Observe("hist", time.Since(start))
 	return resp, nil
+}
+
+// querySpan resolves a query's span and checks that every bundle's item ids
+// index the corpus, before any kernel reads the span's postings.
+func (wk *Worker) querySpan(corpus string, version uint64, bundles []Bundle) (*wtp.SpanStore, error) {
+	sp, err := wk.span(corpus, version)
+	if err != nil {
+		return nil, err
+	}
+	n := sp.Items()
+	for k, b := range bundles {
+		for _, it := range b.Items {
+			if it < 0 || it >= n {
+				return nil, fmt.Errorf("cluster: bundle %d: item %d outside [0,%d)", k, it, n)
+			}
+		}
+	}
+	return sp, nil
 }
 
 // Health reports the worker's assigned spans, sorted by corpus key.
@@ -308,27 +338,53 @@ func (wk *Worker) Health() WorkerHealth {
 	return h
 }
 
-// spanStats is the stats kernel, shared by the worker and the coordinator's
-// local fallback so both sides compute identical aggregates.
-func spanStats(sp *wtp.SpanStore, items []int, theta float64) StatsResponse {
-	_, vals := sp.BundleVector(items, theta, nil, nil)
-	var resp StatsResponse
-	for _, v := range vals {
-		if v > resp.Max {
-			resp.Max = v
+// spanVectors is the vector kernel, shared by the worker and the
+// coordinator's local fallback so both sides compute identical vectors: the
+// bundles' span vectors concatenated, with each bundle's end offset.
+func spanVectors(sp *wtp.SpanStore, bundles []Bundle) VectorResponse {
+	resp := VectorResponse{Ends: make([]int, len(bundles))}
+	var ids []int
+	var vals []float64
+	for k, b := range bundles {
+		ids, vals = sp.BundleVector(b.Items, b.Theta, ids, vals)
+		resp.IDs = append(resp.IDs, ids...)
+		resp.Vals = append(resp.Vals, vals...)
+		resp.Ends[k] = len(resp.IDs)
+	}
+	return resp
+}
+
+// spanStats is the stats kernel, shared like spanVectors: each bundle's
+// maximum WTP in the span.
+func spanStats(sp *wtp.SpanStore, bundles []Bundle) StatsResponse {
+	resp := StatsResponse{Max: make([]float64, len(bundles))}
+	var ids []int
+	var vals []float64
+	for k, b := range bundles {
+		ids, vals = sp.BundleVector(b.Items, b.Theta, ids, vals)
+		for _, v := range vals {
+			if v > resp.Max[k] {
+				resp.Max[k] = v
+			}
 		}
 	}
 	return resp
 }
 
-// spanHist is the histogram kernel, shared like spanStats.
-func spanHist(sp *wtp.SpanStore, items []int, theta, maxW, alpha float64, levels int) HistResponse {
-	_, vals := sp.BundleVector(items, theta, nil, nil)
+// spanHist is the histogram kernel, shared like spanVectors: each bundle's
+// histogram against its maximum, bundle-major.
+func spanHist(sp *wtp.SpanStore, bundles []Bundle, maxW []float64, alpha float64, levels int) HistResponse {
+	L := levels + 1
 	resp := HistResponse{
-		Counts: make([]float64, levels+1),
-		Sums:   make([]float64, levels+1),
+		Counts: make([]float64, len(bundles)*L),
+		Sums:   make([]float64, len(bundles)*L),
 	}
-	pricing.Histogram(vals, alpha, maxW, levels, resp.Counts, resp.Sums)
+	var ids []int
+	var vals []float64
+	for k, b := range bundles {
+		ids, vals = sp.BundleVector(b.Items, b.Theta, ids, vals)
+		pricing.Histogram(vals, alpha, maxW[k], levels, resp.Counts[k*L:(k+1)*L], resp.Sums[k*L:(k+1)*L])
+	}
 	return resp
 }
 

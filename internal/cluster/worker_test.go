@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -26,21 +29,108 @@ func TestWorkerVersionCheck(t *testing.T) {
 	w := testMatrix(t, 64, 6, 7)
 	doc := spanDocFor(w, 16)
 
-	if _, err := wk.Vector("missing", VectorRequest{Version: doc.Version, Items: []int{0}}); err == nil {
+	if _, err := wk.Vector("missing", VectorRequest{Version: doc.Version, Bundles: []Bundle{{Items: []int{0}}}}); err == nil {
 		t.Fatal("missing span accepted")
 	}
 	if err := wk.Assign("c", doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wk.Vector("c", VectorRequest{Version: doc.Version + 1, Items: []int{0}}); err == nil {
+	if _, err := wk.Vector("c", VectorRequest{Version: doc.Version + 1, Bundles: []Bundle{{Items: []int{0}}}}); err == nil {
 		t.Fatal("stale version accepted")
 	}
-	if _, err := wk.Vector("c", VectorRequest{Version: doc.Version, Items: []int{0}}); err != nil {
+	if _, err := wk.Vector("c", VectorRequest{Version: doc.Version, Bundles: []Bundle{{Items: []int{0}}}}); err != nil {
 		t.Fatalf("current version rejected: %v", err)
 	}
 	if wk.stale.Load() != 2 {
 		t.Fatalf("stale rejections = %d, want 2", wk.stale.Load())
 	}
+}
+
+// queryWorker assigns a span of a 6-item corpus to a fresh worker under the
+// key "c" and returns the worker and the span's version.
+func queryWorker(t testing.TB) (*Worker, uint64) {
+	wk := NewWorker(WorkerConfig{})
+	doc := spanDocFor(testMatrix(t, 64, 6, 7), 16)
+	if err := wk.Assign("c", doc); err != nil {
+		t.Fatal(err)
+	}
+	return wk, doc.Version
+}
+
+// workerQuery is one query against queryWorker's span: its op, its body, the
+// status it must get, and for a 400 a substring of the error.
+type workerQuery struct {
+	op, body string
+	status   int
+	err      string
+}
+
+// workerQueries are well-formed, stale and malformed query bodies against a
+// span at version v.
+func workerQueries(v uint64) []workerQuery {
+	// 17 bundles × 65,537 levels: past the histogram cell cap.
+	tooMany := strings.TrimSuffix(strings.Repeat(`{"items":[0]},`, 17), ",")
+	tooManyMax := strings.TrimSuffix(strings.Repeat("5,", 17), ",")
+	return []workerQuery{
+		{"vector", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0,1]},{"items":[5],"theta":0.1}]}`, v), 200, ""},
+		{"stats", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0,1]},{"items":[2]}]}`, v), 200, ""},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]},{"items":[3,4]}],"max_w":[5,9],"alpha":1,"levels":100}`, v), 200, ""},
+		{"union", fmt.Sprintf(`{"version":%d,"a_ids":[1,2],"a_vals":[1,2],"sa":1,"b_ids":[2],"b_vals":[3],"sb":1}`, v), 200, ""},
+		{"vector", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]}]}`, v+1), 409, ""},
+		{"vector", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[99]}]}`, v), 400, "item 99 outside [0,6)"},
+		{"vector", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]},{"items":[-1]}]}`, v), 400, "bundle 1: item -1 outside"},
+		{"stats", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[6]}]}`, v), 400, "item 6 outside [0,6)"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]}],"max_w":[5],"alpha":0,"levels":100}`, v), 400, "α=0 must be finite and > 0"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]}],"max_w":[5],"alpha":-1,"levels":100}`, v), 400, "α=-1 must be finite and > 0"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]}],"max_w":[5],"alpha":1,"levels":1000000}`, v), 400, "1000000 price levels outside [1,65536]"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]}],"max_w":[5],"alpha":1,"levels":0}`, v), 400, "0 price levels outside"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[{"items":[0]},{"items":[1]}],"max_w":[5],"alpha":1,"levels":100}`, v), 400, "1 maxima for 2 bundles"},
+		{"hist", fmt.Sprintf(`{"version":%d,"bundles":[%s],"max_w":[%s],"alpha":1,"levels":65536}`, v, tooMany, tooManyMax), 400, "exceed 1048576 histogram cells"},
+		{"union", fmt.Sprintf(`{"version":%d,"a_ids":[1,2],"a_vals":[1],"sa":1,"b_ids":[],"b_vals":[],"sb":1}`, v), 400, "union of 2 ids with 1 values"},
+	}
+}
+
+// postQuery posts a query body to the worker's HTTP handler.
+func postQuery(h http.Handler, op, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/spans/c/"+op, strings.NewReader(body)))
+	return rec
+}
+
+// TestWorkerRejectsMalformedQueries: a malformed query body is answered 400
+// with its reason before any kernel reads the span — out-of-range item ids,
+// a degenerate pricing grid, mismatched maxima or union vectors, or a batch
+// past the histogram cell cap — while well-formed queries answer 200 and a
+// stale one 409.
+func TestWorkerRejectsMalformedQueries(t *testing.T) {
+	wk, v := queryWorker(t)
+	for _, q := range workerQueries(v) {
+		rec := postQuery(wk.Handler(), q.op, q.body)
+		var e ErrorResponse
+		_ = json.Unmarshal(rec.Body.Bytes(), &e) // a 200 carries no error
+		if rec.Code != q.status || !strings.Contains(e.Error, q.err) {
+			t.Errorf("%s %s: got %d %s, want %d with error %q", q.op, q.body, rec.Code, rec.Body, q.status, q.err)
+		}
+	}
+}
+
+// FuzzWorkerQuery drives arbitrary bodies through the worker's query
+// handlers on an assigned span: every answer must be 200, 400 or 409, never
+// a panic or a 500.
+func FuzzWorkerQuery(f *testing.F) {
+	wk, v := queryWorker(f)
+	ops := []string{"vector", "union", "stats", "hist"}
+	for _, q := range workerQueries(v) {
+		f.Add(uint8(slices.Index(ops, q.op)), q.body)
+	}
+	f.Fuzz(func(t *testing.T, op uint8, body string) {
+		name := ops[int(op)%len(ops)]
+		switch rec := postQuery(wk.Handler(), name, body); rec.Code {
+		case http.StatusOK, http.StatusBadRequest, http.StatusConflict:
+		default:
+			t.Fatalf("%s %q: status %d: %s", name, body, rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestWorkerSpanLRU: spans beyond the bound evict the least recently used.
@@ -54,7 +144,7 @@ func TestWorkerSpanLRU(t *testing.T) {
 		}
 	}
 	// Touch "a" so "b" is the eviction victim.
-	if _, err := wk.Vector("a", VectorRequest{Version: doc.Version, Items: []int{0}}); err != nil {
+	if _, err := wk.Vector("a", VectorRequest{Version: doc.Version, Bundles: []Bundle{{Items: []int{0}}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := wk.Assign("c", doc); err != nil {
@@ -102,7 +192,7 @@ func TestWorkerHTTPSurface(t *testing.T) {
 		t.Fatalf("healthz consumer bounds [%d,%d), want [0,%d)", sp.LoConsumer, sp.HiConsumer, w.Consumers())
 	}
 
-	resp, err := tr.Vector(ctx, "demo", VectorRequest{Version: doc.Version, Items: []int{0, 1}})
+	resp, err := tr.Vector(ctx, "demo", VectorRequest{Version: doc.Version, Bundles: []Bundle{{Items: []int{0, 1}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +211,7 @@ func TestWorkerHTTPSurface(t *testing.T) {
 	}
 
 	// Stale version over HTTP must surface as ErrSpan (status 409).
-	_, err = tr.Vector(ctx, "demo", VectorRequest{Version: doc.Version + 9, Items: []int{0}})
+	_, err = tr.Vector(ctx, "demo", VectorRequest{Version: doc.Version + 9, Bundles: []Bundle{{Items: []int{0}}}})
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("stale request error = %v", err)
 	}
@@ -151,7 +241,7 @@ func TestWorkerSpanMetricsOptIn(t *testing.T) {
 		if err := wk.Assign("secret-corpus/0", doc); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := wk.Vector("secret-corpus/0", VectorRequest{Version: doc.Version, Items: []int{0}}); err != nil {
+		if _, err := wk.Vector("secret-corpus/0", VectorRequest{Version: doc.Version, Bundles: []Bundle{{Items: []int{0}}}}); err != nil {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()

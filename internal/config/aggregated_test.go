@@ -43,31 +43,33 @@ func newSpanAggregator(t *testing.T, w *wtp.Matrix, p Params, spans int) *spanAg
 	return a
 }
 
-func (a *spanAggregator) BundleMax(_ context.Context, items []int, theta float64) float64 {
-	var maxW float64
-	for _, sp := range a.stores {
-		_, vals := sp.BundleVector(items, theta, nil, nil)
-		for _, v := range vals {
-			if v > maxW {
-				maxW = v
+func (a *spanAggregator) BundleMax(_ context.Context, sets [][]int, thetas, maxW []float64) {
+	for k, items := range sets {
+		maxW[k] = 0
+		for _, sp := range a.stores {
+			_, vals := sp.BundleVector(items, thetas[k], nil, nil)
+			for _, v := range vals {
+				maxW[k] = max(maxW[k], v)
 			}
 		}
 	}
-	return maxW
 }
 
-func (a *spanAggregator) BundleHistogram(_ context.Context, items []int, theta float64, maxW float64, counts, sums []float64) {
-	pc := make([]float64, len(counts))
-	ps := make([]float64, len(sums))
-	for _, sp := range a.stores {
-		_, vals := sp.BundleVector(items, theta, nil, nil)
-		for i := range pc {
-			pc[i], ps[i] = 0, 0
-		}
-		pricing.Histogram(vals, a.alpha, maxW, a.levels, pc, ps)
-		for i := range counts {
-			counts[i] += pc[i]
-			sums[i] += ps[i]
+func (a *spanAggregator) BundleHistogram(_ context.Context, sets [][]int, thetas, maxW []float64, counts, sums []float64) {
+	L := a.levels + 1
+	pc := make([]float64, L)
+	ps := make([]float64, L)
+	for k, items := range sets {
+		for _, sp := range a.stores {
+			_, vals := sp.BundleVector(items, thetas[k], nil, nil)
+			for i := range pc {
+				pc[i], ps[i] = 0, 0
+			}
+			pricing.Histogram(vals, a.alpha, maxW[k], a.levels, pc, ps)
+			for i := range pc {
+				counts[k*L+i] += pc[i]
+				sums[k*L+i] += ps[i]
+			}
 		}
 	}
 }

@@ -87,35 +87,41 @@ func (s *Solver) EvaluateContext(ctx context.Context, offers [][]int) (*Configur
 	}
 }
 
-// Aggregator computes distributed pricing aggregates for a bundle: the
-// global maximum bundle WTP and the reduced pricing histogram against it
-// (see pricing.Histogram). A scatter/gather implementation fans each call
-// out to the workers owning the corpus's stripe spans and reduces — max by
-// max, histograms by element-wise addition — so the coordinator prices a
-// bundle from O(T) aggregate state instead of gathering the O(M) consumer
-// vector. Implementations must be infallible: a span whose worker is
-// unreachable is computed from a local replica, never dropped.
+// Aggregator computes distributed pricing aggregates for a lineup: each
+// offer's global maximum bundle WTP and its reduced pricing histogram
+// against that maximum (see pricing.Histogram). A scatter/gather
+// implementation fans each call out to the workers owning the corpus's
+// stripe spans and reduces — maxima by max, histograms by element-wise
+// addition — so the coordinator prices a lineup from O(T) aggregate state
+// per offer instead of gathering O(M) consumer vectors, and each call is one
+// scatter round whatever the lineup's size. Implementations must be
+// infallible: a span whose worker is unreachable is computed from a local
+// replica, never dropped.
 // Like StripeExecutor, both methods receive the run's request context to
 // derive RPC deadlines from; a done context must still yield a correct
 // result (local fallback), with run abortion left to the engine.
 type Aggregator interface {
-	// BundleMax returns the maximum Eq. 1 bundle WTP over all consumers
-	// (0 when no consumer is interested).
-	BundleMax(ctx context.Context, items []int, theta float64) float64
-	// BundleHistogram accumulates the bundle's pricing histogram against the
-	// global maximum maxW into counts and sums (each of length levels+1,
-	// zeroed by the caller), exactly as pricing.Histogram does per span.
-	BundleHistogram(ctx context.Context, items []int, theta float64, maxW float64, counts, sums []float64)
+	// BundleMax sets maxW[k] to the maximum Eq. 1 WTP of sets[k] under
+	// thetas[k] over all consumers (0 when no consumer is interested).
+	BundleMax(ctx context.Context, sets [][]int, thetas []float64, maxW []float64)
+	// BundleHistogram accumulates the pricing histogram of every sets[k]
+	// against its global maximum maxW[k] > 0 into counts and sums, exactly
+	// as pricing.Histogram does per span. Both hold len(sets)·(levels+1)
+	// entries, bundle-major (set k's levels+1 entries start at
+	// k·(levels+1)), zeroed by the caller.
+	BundleHistogram(ctx context.Context, sets [][]int, thetas, maxW []float64, counts, sums []float64)
 }
 
 // EvaluateAggregated prices a pure-bundling offer family from reduced
 // pricing histograms instead of gathered consumer vectors — the
-// scatter/gather evaluate path of a distributed solver, where each offer
-// costs two aggregate rounds (max, histogram) of O(T) response data per
-// span rather than shipping every interested consumer. Results match
-// Evaluate within float re-association (the histogram sums reduce in a
-// different order); bundle prices and revenues under the paper's default
-// deterministic model and objective are identical.
+// scatter/gather evaluate path of a distributed solver. A lineup costs two
+// aggregate rounds, every offer's maximum and then every interested offer's
+// histogram, of O(T) response data per offer and span rather than shipping
+// every interested consumer; a lineup past pricing.MaxHistogramCells prices
+// its histograms in batches under that cap. Results match Evaluate within
+// float re-association (the histogram sums reduce in a different order);
+// bundle prices and revenues under the paper's default deterministic model
+// and objective are identical.
 //
 // The mixed strategy carries per-consumer market state between offers and
 // cannot be priced from histograms; mixed evaluates (and the exact-sigmoid
@@ -125,7 +131,8 @@ func (s *Solver) EvaluateAggregated(offers [][]int, agg Aggregator) (*Configurat
 }
 
 // EvaluateAggregatedContext is EvaluateAggregated with a request context;
-// see EvaluateContext for the cancellation contract.
+// the context is checked before each aggregate round, and see
+// EvaluateContext for the rest of the cancellation contract.
 func (s *Solver) EvaluateAggregatedContext(ctx context.Context, offers [][]int, agg Aggregator) (*Configuration, error) {
 	if s.params.Strategy != Pure {
 		return nil, fmt.Errorf("config: aggregated evaluation supports pure bundling only")
@@ -147,23 +154,43 @@ func (s *Solver) EvaluateAggregatedContext(ctx context.Context, offers [][]int, 
 	if err := checkStructure(sets, Pure); err != nil {
 		return nil, err
 	}
-	cfg := &Configuration{Strategy: Pure, Iterations: 1}
-	T := s.pr.Levels()
-	counts := make([]float64, T+1)
-	sums := make([]float64, T+1)
-	for _, items := range sets {
+	if err := e.canceled(); err != nil {
+		return nil, err
+	}
+	thetas := make([]float64, len(sets))
+	for k, items := range sets {
+		thetas[k] = thetaFor(e.params.Theta, len(items))
+	}
+	maxW := make([]float64, len(sets))
+	agg.BundleMax(e.reqCtx, sets, thetas, maxW)
+	// Only offers some consumer is interested in need a histogram; the rest
+	// price at zero.
+	var live []int
+	var lSets [][]int
+	var lThetas, lMax []float64
+	for k, m := range maxW {
+		if m > 0 {
+			live, lSets = append(live, k), append(lSets, sets[k])
+			lThetas, lMax = append(lThetas, thetas[k]), append(lMax, m)
+		}
+	}
+	quotes := make([]pricing.UtilityQuote, len(sets))
+	L := s.pr.Levels() + 1
+	batch := max(1, pricing.MaxHistogramCells/L)
+	for lo := 0; lo < len(live); lo += batch {
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		theta := thetaFor(e.params.Theta, len(items))
-		var uq pricing.UtilityQuote
-		if maxW := agg.BundleMax(e.reqCtx, items, theta); maxW > 0 {
-			for i := range counts {
-				counts[i], sums[i] = 0, 0
-			}
-			agg.BundleHistogram(e.reqCtx, items, theta, maxW, counts, sums)
-			uq = s.pr.PriceUtilityFromHistogram(counts, sums, maxW, e.objective(items))
+		hi := min(lo+batch, len(live))
+		counts, sums := make([]float64, (hi-lo)*L), make([]float64, (hi-lo)*L)
+		agg.BundleHistogram(e.reqCtx, lSets[lo:hi], lThetas[lo:hi], lMax[lo:hi], counts, sums)
+		for j, k := range live[lo:hi] {
+			quotes[k] = s.pr.PriceUtilityFromHistogram(counts[j*L:(j+1)*L], sums[j*L:(j+1)*L], maxW[k], e.objective(sets[k]))
 		}
+	}
+	cfg := &Configuration{Strategy: Pure, Iterations: 1}
+	for k, items := range sets {
+		uq := quotes[k]
 		cfg.Bundles = append(cfg.Bundles, Bundle{Items: items, Price: uq.Price, Revenue: uq.Revenue})
 		cfg.Revenue += uq.Revenue
 		cfg.Profit += uq.Profit
@@ -178,6 +205,16 @@ func (s *Solver) EvaluateAggregatedContext(ctx context.Context, offers [][]int, 
 func (e *engine) evaluateMixed(sets [][]int, start time.Time) (*Configuration, error) {
 	// Ascending size; ties by first item keep the order deterministic.
 	sort.SliceStable(sets, func(i, j int) bool { return len(sets[i]) < len(sets[j]) })
+	if err := e.canceled(); err != nil {
+		return nil, err
+	}
+	// Every offer's vector comes from its own items, never from its parts,
+	// so the whole lineup's vectors are fetched in one call up front.
+	thetas := make([]float64, len(sets))
+	for k, items := range sets {
+		thetas[k] = thetaFor(e.params.Theta, len(items))
+	}
+	ids, vals := e.bundleVectors(sets, thetas)
 	priced := make([]*node, 0, len(sets))
 	isTop := make([]bool, len(sets))
 	for si, items := range sets {
@@ -201,8 +238,7 @@ func (e *engine) evaluateMixed(sets [][]int, start time.Time) (*Configuration, e
 				covered[it] = true
 			}
 		}
-		n := &node{items: items, fresh: true}
-		n.ids, n.vals = e.bundleVector(items, thetaFor(e.params.Theta, len(items)), nil, nil)
+		n := &node{items: items, fresh: true, ids: ids[si], vals: vals[si]}
 		n.unitC = e.objective(items).UnitCost
 		if len(parts) == 0 {
 			// Leaf offer: standalone optimal price.

@@ -56,7 +56,7 @@ type Solver struct {
 // equivalent to the shard reductions (within float re-association) and safe
 // for concurrent use — parallel candidate evaluation calls them from many
 // goroutines.
-// Both methods receive the run's request context: a distributed executor
+// Every method receives the run's request context: a distributed executor
 // derives its per-RPC deadlines from it, so a canceled caller aborts the
 // fan-out instead of letting retries outlive the request. Implementations
 // must still return a correct result when the context is done (the local
@@ -66,6 +66,11 @@ type StripeExecutor interface {
 	// BundleVector builds a bundle's interested-consumer vector (Eq. 1),
 	// appending into the dst slices; see wtp.Shard.BundleVector.
 	BundleVector(ctx context.Context, items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64)
+	// BundleVectors builds the vector of every set, sets[k] under
+	// thetas[k], in one call — one scatter round on a distributed
+	// executor, however many sets there are. The returned slices are
+	// fresh and aligned with sets.
+	BundleVectors(ctx context.Context, sets [][]int, thetas []float64) ([][]int, [][]float64)
 	// UnionVectors derives a merged bundle's vector from two cached parent
 	// vectors; see wtp.Shard.UnionVectors.
 	UnionVectors(ctx context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64)
@@ -78,6 +83,14 @@ type localExec struct{ sh *wtp.Shard }
 
 func (l localExec) BundleVector(_ context.Context, items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	return l.sh.BundleVector(items, theta, dstIDs, dstVals)
+}
+
+func (l localExec) BundleVectors(_ context.Context, sets [][]int, thetas []float64) ([][]int, [][]float64) {
+	ids, vals := make([][]int, len(sets)), make([][]float64, len(sets))
+	for k, items := range sets {
+		ids[k], vals[k] = l.sh.BundleVector(items, thetas[k], nil, nil)
+	}
+	return ids, vals
 }
 
 func (l localExec) UnionVectors(_ context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
@@ -330,6 +343,20 @@ func (e *engine) bundleVector(items []int, theta float64, dstIDs []int, dstVals 
 		return e.exec.BundleVector(e.reqCtx, items, theta, dstIDs, dstVals)
 	}
 	return e.w.BundleVector(items, theta, dstIDs, dstVals)
+}
+
+// bundleVectors builds every set's vector with one executor call, so a
+// distributed session pays one scatter round for a whole lineup; the
+// reference path rescans the flat postings set by set.
+func (e *engine) bundleVectors(sets [][]int, thetas []float64) ([][]int, [][]float64) {
+	if e.incremental {
+		return e.exec.BundleVectors(e.reqCtx, sets, thetas)
+	}
+	ids, vals := make([][]int, len(sets)), make([][]float64, len(sets))
+	for k, items := range sets {
+		ids[k], vals[k] = e.w.BundleVector(items, thetas[k], nil, nil)
+	}
+	return ids, vals
 }
 
 // buildSingletons prices every item as a one-item node — the session index

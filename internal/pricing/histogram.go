@@ -11,6 +11,12 @@ package pricing
 // reduce with re-associated float addition, which is why cluster-vs-local
 // equivalence is stated within 1e-9 rather than bitwise.
 
+// MaxHistogramCells caps the cells, bundles × (levels+1), of one batched
+// histogram reduction: a worker rejects a larger batch, and a distributed
+// evaluate splits a longer lineup into batches under it (over 10,000
+// bundles each at the default 100 levels).
+const MaxHistogramCells = 1 << 20
+
 // Histogram accumulates the pricing histogram of wtps into counts and sums,
 // each of length levels+1: counts[t] is the number of consumers whose
 // effective WTP α·w falls in bucket t of the [0, α·maxW] grid, sums[t] their
@@ -23,9 +29,11 @@ func Histogram(wtps []float64, alpha, maxW float64, levels int, counts, sums []f
 	}
 	T := levels
 	for _, w := range wtps {
-		idx := int(alpha*w/(alpha*maxW)*float64(T) + bucketSlack)
-		if idx > T {
-			idx = T
+		// A grid position past T, or a NaN one (α·w overflowing), lands in
+		// the top bucket instead of converting to an out-of-range index.
+		idx := T
+		if f := alpha*w/(alpha*maxW)*float64(T) + bucketSlack; f < float64(T) {
+			idx = int(f)
 		}
 		counts[idx]++
 		sums[idx] += alpha * w
