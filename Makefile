@@ -21,8 +21,8 @@ test:
 	$(GO) test ./...
 
 # Race-check the packages with lock-free parallel paths (chunked evalPairs,
-# shared Solver sessions, per-stripe farming, the serving registry/batcher,
-# the cluster coordinator's scatter/gather fan-out) and the sinks every
+# shared Solver sessions, per-stripe farming, the serving registry and
+# result cache, the cluster coordinator's scatter/gather fan-out) and the sinks every
 # request record feeds (the trace recorder and ring, the usage meters).
 # The second line repeats the race between a session's concurrent first
 # solves, which publish its round-one memo.
@@ -54,7 +54,7 @@ smoke:
 # as its own job; it is slower than `race` because blackhole scenarios wait
 # out real RPC deadlines.
 chaos:
-	$(GO) test -race -run 'TestChaos|TestBreaker|TestSolveContext|TestEvaluateContext|TestLimiter|TestOverload|TestDeadline|TestPanic|TestBatcher' ./internal/cluster/ ./internal/server/
+	$(GO) test -race -run 'TestChaos|TestBreaker|TestSolveContext|TestEvaluateContext|TestLimiter|TestOverload|TestDeadline|TestPanic' ./internal/cluster/ ./internal/server/
 
 # Benchmark the algorithm hot paths (one-shot and warm-session rows) at
 # bench scale and write machine-readable results. Compare against the
@@ -106,8 +106,9 @@ mutate-gate-fast:
 
 # Short fuzz pass over the incremental-union equivalence property, the WTP
 # matrix's Set/Delete/WithDelta sequences against a dense shadow, the
-# mixed-bundling price sweep against its per-level reference, and the
-# worker's query handlers (any body answers 200, 400 or 409), then over
+# mixed-bundling price sweep against its per-level reference, the worker's
+# query handlers (any body answers 200, 400 or 409) and the daemon's
+# handler (no request answers 500 or panics), then over
 # each binary codec decoder (truncated, corrupt and hostile inputs must
 # error — never panic or over-allocate). `go test -fuzz` takes one target
 # per run, hence the loop.
@@ -116,6 +117,7 @@ fuzz:
 	$(GO) test ./internal/wtp -fuzz FuzzMatrixOps -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/pricing -fuzz FuzzPriceMixedStep -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/cluster -fuzz FuzzWorkerQuery -fuzztime 15s -run '^$$'
+	$(GO) test ./internal/server -fuzz FuzzHandler -fuzztime 15s -run '^$$'
 	for f in FuzzDecodeMatrix FuzzDecodeSpan FuzzDecodeRecord FuzzDecodeAssign FuzzDecodeDelta; do \
 		$(GO) test ./internal/codec -fuzz $$f -fuzztime 15s -run '^$$' || exit 1; \
 	done

@@ -80,12 +80,12 @@
 // CSV) to create a named session, then hit it concurrently with solve and
 // what-if evaluate requests. The serving layer adds an LRU-bounded result
 // cache keyed by exact corpus version (a re-upload can never be served
-// stale results), a micro-batcher that coalesces concurrent identical
-// evaluate requests into one execution, Prometheus metrics, and graceful
-// session eviction. Run with -data-dir, the daemon persists every uploaded
-// corpus and restores its sessions — with identical results — after a
-// restart; run with -auth-keys (or -auth-file) it serves multiple tenants
-// with API-key authentication, per-tenant corpus ownership and quotas.
+// stale results), admission control with per-request deadlines,
+// Prometheus metrics, and graceful session eviction. Run with -data-dir,
+// the daemon persists every uploaded corpus and restores its sessions —
+// with identical results — after a restart; run with -auth-keys (or
+// -auth-file) it serves multiple tenants with API-key authentication,
+// per-tenant corpus ownership and quotas.
 // The bundling/client package is the Go client; see the README's Serving
 // section for a curl quickstart, docs/API.md and docs/OPERATIONS.md for
 // the full wire and operations references, and bench/README.md for the

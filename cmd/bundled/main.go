@@ -1,7 +1,7 @@
 // Command bundled is the bundle-pricing daemon: it serves long-lived
 // Solver sessions over HTTP so many users can upload willingness-to-pay
 // corpora and hit them concurrently with solve and what-if evaluate
-// requests, with result caching and evaluate micro-batching in front of the
+// requests, with a result cache and admission control in front of the
 // engine (see internal/server for the API). With -data-dir every uploaded
 // corpus is persisted and restored on restart, and with -auth-keys (or
 // -auth-file) the daemon serves multiple tenants with API-key auth,
@@ -55,8 +55,6 @@ type options struct {
 	maxSessions  int
 	cacheEntries int
 	maxUploadMB  int64
-	batchWorkers int
-	batchWindow  time.Duration
 	workers      string
 	dataDir      string
 	deltaFold    int
@@ -95,8 +93,6 @@ func main() {
 	flag.IntVar(&o.maxSessions, "max-sessions", 64, "max live corpus sessions (LRU eviction beyond)")
 	flag.IntVar(&o.cacheEntries, "cache", 1024, "result cache entries (negative disables)")
 	flag.Int64Var(&o.maxUploadMB, "max-upload-mb", 64, "max corpus upload size in MiB")
-	flag.IntVar(&o.batchWorkers, "batch-workers", 4, "concurrent evaluations per micro-batch pass")
-	flag.DurationVar(&o.batchWindow, "batch-window", 0, "evaluate micro-batch gather window (0 = drain immediately)")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated bundleworker addresses; enables distributed stripe-sharded solving")
 	flag.StringVar(&o.dataDir, "data-dir", "", "corpus persistence directory; uploads survive restarts (empty = in-memory only)")
 	flag.IntVar(&o.deltaFold, "delta-fold", 0, "delta-record chain length folded into a snapshot at compaction (0 = 16)")
@@ -145,8 +141,6 @@ func run(o options) error {
 		MaxSessions:    o.maxSessions,
 		CacheEntries:   o.cacheEntries,
 		MaxUploadBytes: o.maxUploadMB << 20,
-		BatchWorkers:   o.batchWorkers,
-		BatchWindow:    o.batchWindow,
 		Quotas: server.Quotas{
 			MaxCorpora:        o.quotaCorpora,
 			MaxEntries:        o.quotaEntries,

@@ -19,7 +19,8 @@ import (
 // request must yield a single trace whose span tree covers admission, the
 // solve loop, candidate pricing and every worker RPC — with each worker's
 // own /debug/traces recording its side of the RPCs under the coordinator's
-// trace ID.
+// trace ID. One uncached evaluate after it must do the same for the
+// engine's evaluate span and its stats and hist rounds.
 func TestTracePropagationAcrossCluster(t *testing.T) {
 	workers := make([]*Worker, 2)
 	transports := make([]Transport, 2)
@@ -60,19 +61,7 @@ func TestTracePropagationAcrossCluster(t *testing.T) {
 	}
 
 	// The coordinator's ring must hold the full tree for that trace.
-	tr, err := http.Get(ts.URL + "/debug/traces?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Body.Close()
-	var list server.TracesResponse
-	if err := json.NewDecoder(tr.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Traces) != 1 {
-		t.Fatalf("got %d traces, want 1", len(list.Traces))
-	}
-	doc := list.Traces[0]
+	doc := newestTrace(t, ts.URL)
 	if doc.TraceID != traceID {
 		t.Fatalf("ring trace %q != response trace %q", doc.TraceID, traceID)
 	}
@@ -119,24 +108,83 @@ func TestTracePropagationAcrossCluster(t *testing.T) {
 	}
 
 	// Each worker recorded its side of the RPCs under the same trace ID.
-	for i, wk := range workers {
-		var matched int
-		for _, wdoc := range wk.Traces(0) {
-			if wdoc.TraceID != traceID {
-				continue
+	workersRecorded := func(traceID string) {
+		t.Helper()
+		for i, wk := range workers {
+			var matched int
+			for _, wdoc := range wk.Traces(0) {
+				if wdoc.TraceID != traceID {
+					continue
+				}
+				matched++
+				if len(wdoc.Spans) != 1 || !strings.HasPrefix(wdoc.Spans[0].Name, "worker.") {
+					t.Fatalf("worker %d: unexpected record %+v", i, wdoc.Spans)
+				}
+				if wdoc.Spans[0].Parent == 0 {
+					t.Errorf("worker %d: record not parented to a coordinator span", i)
+				}
 			}
-			matched++
-			if len(wdoc.Spans) != 1 || !strings.HasPrefix(wdoc.Spans[0].Name, "worker.") {
-				t.Fatalf("worker %d: unexpected record %+v", i, wdoc.Spans)
+			if matched == 0 {
+				t.Errorf("worker %d holds no records for trace %s", i, traceID)
 			}
-			if wdoc.Spans[0].Parent == 0 {
-				t.Errorf("worker %d: record not parented to a coordinator span", i)
-			}
-		}
-		if matched == 0 {
-			t.Errorf("worker %d holds no records for trace %s", i, traceID)
 		}
 	}
+	workersRecorded(traceID)
+
+	// An uncached evaluate runs the engine under its own request's trace:
+	// the engine's evaluate span, and a stats and a hist RPC on each worker.
+	resp, err = http.Post(ts.URL+"/v1/corpora/dist/evaluate", "application/json",
+		strings.NewReader(`{"offers":[[0,1],[2,3]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate: %d: %s", resp.StatusCode, body)
+	}
+	evalTraceID := resp.Header.Get(obs.HeaderTrace)
+	evalDoc := newestTrace(t, ts.URL)
+	if evalDoc.TraceID != evalTraceID {
+		t.Fatalf("ring trace %q != evaluate trace %q", evalDoc.TraceID, evalTraceID)
+	}
+	rpcs := map[string]bool{} // op@worker
+	var engine bool
+	for _, sp := range evalDoc.Spans {
+		engine = engine || sp.Name == "evaluate"
+		if sp.Name == "rpc" {
+			rpcs[tag(sp, "op")+"@"+tag(sp, "worker")] = true
+		}
+	}
+	if !engine {
+		t.Error("evaluate trace missing the engine's \"evaluate\" span")
+	}
+	for _, op := range []string{"stats", "hist"} {
+		for _, tp := range transports {
+			if !rpcs[op+"@"+tp.Addr()] {
+				t.Errorf("evaluate trace has no %s rpc span on worker %s (saw %v)", op, tp.Addr(), rpcs)
+			}
+		}
+	}
+	workersRecorded(evalTraceID)
+}
+
+// newestTrace reads the newest trace in a coordinator's ring.
+func newestTrace(t *testing.T, base string) obs.TraceDoc {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/traces?limit=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var list server.TracesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list.Traces) != 1 {
+		t.Fatalf("got %d traces, want 1", len(list.Traces))
+	}
+	return list.Traces[0]
 }
 
 // TestWorkerDebugTracesHTTP asserts the worker daemon serves its RPC

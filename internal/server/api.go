@@ -202,13 +202,11 @@ type EvaluateRequest struct {
 }
 
 // EvaluateResponse is the result of an evaluate request. Cached marks a
-// result-cache hit; Batched marks a request that was coalesced into a
-// concurrent identical request's execution by the micro-batcher.
+// result-cache hit.
 type EvaluateResponse struct {
 	Corpus    string    `json:"corpus"`
 	Version   int       `json:"version"`
 	Cached    bool      `json:"cached"`
-	Batched   bool      `json:"batched"`
 	ElapsedMS float64   `json:"elapsed_ms"`
 	Config    ConfigDoc `json:"config"`
 }

@@ -166,12 +166,14 @@ func TestAPIDocMatchesServer(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("doc solve example: %d: %s", code, body)
 	}
-	liveKeysDocumented(t, "SolveResponse", body, docBlock(t, blocks, `"corpus"`, `"config"`))
+	liveKeysDocumented(t, "SolveResponse", body, docBlock(t, blocks, `"corpus"`, `"config"`, `"algorithm"`))
 
 	evalReq := docBlock(t, blocks, `"offers"`)
-	if code, body := do(t, http.MethodPost, ts.URL+"/v1/corpora/shop/evaluate", "", evalReq); code != http.StatusOK {
+	code, body = do(t, http.MethodPost, ts.URL+"/v1/corpora/shop/evaluate", "", evalReq)
+	if code != http.StatusOK {
 		t.Fatalf("doc evaluate example: %d: %s", code, body)
 	}
+	liveKeysDocumented(t, "EvaluateResponse", body, docBlock(t, blocks, `"corpus"`, `"config"`, `!"algorithm"`))
 
 	code, usageBody := do(t, http.MethodGet, ts.URL+"/v1/usage", "", "")
 	if code != http.StatusOK {

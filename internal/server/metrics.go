@@ -219,10 +219,6 @@ type metrics struct {
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
 
-	batches          atomic.Int64 // batched passes processed
-	batchedRequests  atomic.Int64 // evaluate requests that went through a batch
-	coalescedInBatch atomic.Int64 // requests that shared another request's execution
-
 	uploads   atomic.Int64
 	evictions atomic.Int64
 
@@ -256,9 +252,6 @@ func (m *metrics) render(w io.Writer, sessions, cacheEntries, persisted int, ext
 	counters := []CounterRow{
 		{Name: "bundled_cache_hits_total", Help: "Result-cache hits.", Value: m.cacheHits.Load()},
 		{Name: "bundled_cache_misses_total", Help: "Result-cache misses.", Value: m.cacheMisses.Load()},
-		{Name: "bundled_batches_total", Help: "Micro-batch passes processed.", Value: m.batches.Load()},
-		{Name: "bundled_batched_requests_total", Help: "Evaluate requests drained through micro-batches.", Value: m.batchedRequests.Load()},
-		{Name: "bundled_coalesced_requests_total", Help: "Evaluate requests that shared an identical concurrent request's execution.", Value: m.coalescedInBatch.Load()},
 		{Name: "bundled_uploads_total", Help: "Corpus uploads (session creations and replacements).", Value: m.uploads.Load()},
 		{Name: "bundled_session_evictions_total", Help: "Sessions evicted by the registry's LRU bound.", Value: m.evictions.Load()},
 		{Name: "bundled_auth_failures_total", Help: "Requests rejected with 401 for a missing or unknown API key.", Value: m.authFailures.Load()},

@@ -21,8 +21,7 @@ var errAlreadyInstalled = errors.New("session already installed")
 var errReplacedMeanwhile = errors.New("session concurrently replaced")
 
 // session is one named, long-lived corpus session: an indexed
-// bundling.Solver plus the serving plumbing layered on it (per-session
-// evaluate batcher, cache-key identity). Sessions are immutable after
+// bundling.Solver plus its cache-key identity. Sessions are immutable after
 // creation — a re-upload builds a new session under the same ID — so any
 // number of handler goroutines may share one.
 type session struct {
@@ -33,7 +32,6 @@ type session struct {
 	opts      bundling.Options
 	stats     bundling.SolverStats
 	createdAt time.Time
-	batcher   *batcher
 
 	elem    *list.Element // registry LRU slot, guarded by the registry mutex
 	retired bool          // entries dropped from the result cache, guarded by its mutex

@@ -17,12 +17,14 @@ import (
 	"bundling/internal/obs"
 )
 
-// gatedSolver wraps a real solver but holds every solve until release is
-// closed (or the run's context ends), signalling each start on started.
+// gatedSolver wraps a real solver but holds every solve and evaluate until
+// release is closed (or the run's context ends), signalling each start on
+// started and sending each evaluate's returned error on evaluated.
 type gatedSolver struct {
 	Solver
-	release chan struct{}
-	started chan struct{}
+	release   chan struct{}
+	started   chan struct{}
+	evaluated chan error
 }
 
 func (g *gatedSolver) SolveContext(ctx context.Context, a bundling.Algorithm) (*bundling.Configuration, error) {
@@ -35,7 +37,8 @@ func (g *gatedSolver) SolveContext(ctx context.Context, a bundling.Algorithm) (*
 	return g.Solver.SolveContext(ctx, a)
 }
 
-func (g *gatedSolver) EvaluateContext(ctx context.Context, offers [][]int) (*bundling.Configuration, error) {
+func (g *gatedSolver) EvaluateContext(ctx context.Context, offers [][]int) (cfg *bundling.Configuration, err error) {
+	defer func() { g.evaluated <- err }()
 	g.started <- struct{}{}
 	select {
 	case <-g.release:
@@ -46,18 +49,22 @@ func (g *gatedSolver) EvaluateContext(ctx context.Context, offers [][]int) (*bun
 }
 
 // gatedServer builds a server whose sessions block in the engine until the
-// returned release channel is closed.
-func gatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan struct{}, chan struct{}) {
+// returned release channel is closed. The last channel receives the error
+// each gated evaluate returned, as it returns.
+func gatedServer(t *testing.T, cfg Config) (*httptest.Server, chan struct{}, chan struct{}, chan error) {
 	t.Helper()
 	release := make(chan struct{})
+	// Room for every engine call a test makes, so no gated run blocks on
+	// a signal its test does not read.
 	started := make(chan struct{}, 64)
+	evaluated := make(chan error, 64)
 	cfg.CacheEntries = -1 // every request must reach the engine
 	cfg.NewSolver = func(w *bundling.Matrix, o bundling.Options) (Solver, error) {
 		inner, err := bundling.NewSolver(w, o)
 		if err != nil {
 			return nil, err
 		}
-		return &gatedSolver{Solver: inner, release: release, started: started}, nil
+		return &gatedSolver{Solver: inner, release: release, started: started, evaluated: evaluated}, nil
 	}
 	srv := New(cfg)
 	t.Cleanup(srv.Close)
@@ -66,7 +73,22 @@ func gatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan stru
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return srv, ts, release, started
+	return ts, release, started, evaluated
+}
+
+// engineReturned waits for the gated evaluate's returned error and fails
+// unless it is want: an engine still running past its request's end
+// means the request's context never reached it.
+func engineReturned(t *testing.T, evaluated chan error, want error) {
+	t.Helper()
+	select {
+	case err := <-evaluated:
+		if !errors.Is(err, want) {
+			t.Fatalf("gated evaluate returned %v, want %v", err, want)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatalf("gated evaluate still running 2s after its request ended, want it to return %v", want)
+	}
 }
 
 // TestOverloadShedsWithRetryAfter: with one execution slot busy and
@@ -74,7 +96,7 @@ func gatedServer(t *testing.T, cfg Config) (*Server, *httptest.Server, chan stru
 // and the shed counter on /metrics — while the in-flight run completes
 // normally once released.
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
-	_, ts, release, started := gatedServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
+	ts, release, started, _ := gatedServer(t, Config{MaxConcurrent: 1, MaxQueue: -1})
 	firstDone := make(chan int, 1)
 	go func() {
 		resp, _ := postJSON(t, ts, "/v1/corpora/c/solve", `{"algorithm":"matching"}`)
@@ -107,7 +129,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 // TestOverloadQueueAdmits: a queued request gets the slot when the holder
 // releases it inside the queue timeout — bounded waiting, not a shed.
 func TestOverloadQueueAdmits(t *testing.T) {
-	_, ts, release, started := gatedServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 5 * time.Second})
+	ts, release, started, _ := gatedServer(t, Config{MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: 5 * time.Second})
 	firstDone := make(chan int, 1)
 	go func() {
 		resp, _ := postJSON(t, ts, "/v1/corpora/c/solve", `{"algorithm":"matching"}`)
@@ -131,26 +153,36 @@ func TestOverloadQueueAdmits(t *testing.T) {
 	}
 }
 
-// TestDeadlineBudget504: a run that outlives the server's DefaultTimeout
-// returns 504 and bumps the deadline counter.
+// TestDeadlineBudget504: a solve or evaluate that outlives the server's
+// DefaultTimeout returns 504 and bumps the deadline counter.
 func TestDeadlineBudget504(t *testing.T) {
-	_, ts, release, _ := gatedServer(t, Config{DefaultTimeout: 30 * time.Millisecond})
-	defer close(release) // never released within the budget
-	resp, body := postJSON(t, ts, "/v1/corpora/c/solve", `{"algorithm":"matching"}`)
-	if resp.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("solve = %d (%s), want 504", resp.StatusCode, body)
-	}
-	_, metrics := postGet(t, ts, "/metrics")
-	if !strings.Contains(metrics, "bundled_deadline_exceeded_total 1") {
-		t.Fatal("deadline expiry not counted on /metrics")
+	for _, c := range []struct{ op, body string }{
+		{"solve", `{"algorithm":"matching"}`},
+		{"evaluate", `{"offers":[[0,1],[2]]}`},
+	} {
+		t.Run(c.op, func(t *testing.T) {
+			ts, release, _, evaluated := gatedServer(t, Config{DefaultTimeout: 30 * time.Millisecond})
+			defer close(release) // never released within the budget
+			resp, body := postJSON(t, ts, "/v1/corpora/c/"+c.op, c.body)
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("%s = %d (%s), want 504", c.op, resp.StatusCode, body)
+			}
+			if c.op == "evaluate" {
+				engineReturned(t, evaluated, context.DeadlineExceeded)
+			}
+			_, metrics := postGet(t, ts, "/metrics")
+			if !strings.Contains(metrics, "bundled_deadline_exceeded_total 1") {
+				t.Fatal("deadline expiry not counted on /metrics")
+			}
+		})
 	}
 }
 
 // TestDeadlineHeader overrides the budget per request: a tiny X-Deadline-Ms
-// times the run out on a server with no default budget; a malformed value
-// is the client's 400.
+// times the run out on a server with no default budget, the engine
+// included; a malformed value is the client's 400.
 func TestDeadlineHeader(t *testing.T) {
-	_, ts, release, _ := gatedServer(t, Config{})
+	ts, release, _, evaluated := gatedServer(t, Config{})
 	defer close(release)
 	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/corpora/c/evaluate", strings.NewReader(`{"offers":[[0,1],[2]]}`))
 	if err != nil {
@@ -165,6 +197,7 @@ func TestDeadlineHeader(t *testing.T) {
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("evaluate with %s: %d, want 504", deadlineHeader, resp.StatusCode)
 	}
+	engineReturned(t, evaluated, context.DeadlineExceeded)
 	for _, bad := range []string{"0", "-5", "soon"} {
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/corpora/c/solve", strings.NewReader(`{}`))
 		if err != nil {
@@ -182,79 +215,125 @@ func TestDeadlineHeader(t *testing.T) {
 	}
 }
 
-// panicSolver blows up inside the handler's solve path.
+// TestDeadlineClientDisconnect: a client that hangs up mid-evaluate
+// cancels the engine run with context.Canceled.
+func TestDeadlineClientDisconnect(t *testing.T) {
+	ts, release, started, evaluated := gatedServer(t, Config{})
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/corpora/c/evaluate", strings.NewReader(`{"offers":[[0,1],[2]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		sent <- err
+	}()
+	<-started
+	cancel()
+	if err := <-sent; !errors.Is(err, context.Canceled) {
+		t.Fatalf("client side of the canceled evaluate: %v, want context.Canceled", err)
+	}
+	engineReturned(t, evaluated, context.Canceled)
+}
+
+// panicSolver blows up inside the handler's solve and evaluate paths.
 type panicSolver struct{ Solver }
 
 func (p *panicSolver) SolveContext(context.Context, bundling.Algorithm) (*bundling.Configuration, error) {
 	panic("solver exploded")
 }
 
-// TestPanicRecovery: a handler panic becomes a 500 with the panic counter
-// bumped, observed like any other request — logged at error level, traced
-// with status=500 and billed as an error to its corpus; the server keeps
-// serving afterwards.
+func (p *panicSolver) EvaluateContext(context.Context, [][]int) (*bundling.Configuration, error) {
+	panic("solver exploded")
+}
+
+// TestPanicRecovery: an engine panic in a solve or an evaluate becomes a
+// 500 with the panic counter bumped, observed like any other request —
+// logged at error level, traced with status=500 and billed as an error to
+// its corpus. The panicking run releases its only execution slot, and the
+// server keeps serving afterwards.
 func TestPanicRecovery(t *testing.T) {
-	var buf bytes.Buffer
-	srv := New(Config{
-		Logger:       slog.New(slog.NewJSONHandler(&buf, nil)),
-		CacheEntries: -1,
-		NewSolver: func(w *bundling.Matrix, o bundling.Options) (Solver, error) {
-			inner, err := bundling.NewSolver(w, o)
-			if err != nil {
-				return nil, err
+	for _, c := range []struct{ op, body string }{
+		{"solve", `{"algorithm":"matching"}`},
+		{"evaluate", `{"offers":[[0,1],[2]]}`},
+	} {
+		t.Run(c.op, func(t *testing.T) {
+			var buf bytes.Buffer
+			srv := New(Config{
+				Logger:        slog.New(slog.NewJSONHandler(&buf, nil)),
+				CacheEntries:  -1,
+				MaxConcurrent: 1,
+				MaxQueue:      -1,
+				NewSolver: func(w *bundling.Matrix, o bundling.Options) (Solver, error) {
+					inner, err := bundling.NewSolver(w, o)
+					if err != nil {
+						return nil, err
+					}
+					return &panicSolver{Solver: inner}, nil
+				},
+			})
+			defer srv.Close()
+			if err := Preload(srv, "c", testMatrix(t, 40, 6, 1), bundling.Options{}); err != nil {
+				t.Fatal(err)
 			}
-			return &panicSolver{Solver: inner}, nil
-		},
-	})
-	defer srv.Close()
-	if err := Preload(srv, "c", testMatrix(t, 40, 6, 1), bundling.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, body := postJSON(t, ts, "/v1/corpora/c/solve", `{"algorithm":"matching"}`)
-	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("panicking solve = %d (%s), want 500", resp.StatusCode, body)
-	}
-	if !strings.Contains(body, "internal error") {
-		t.Fatalf("500 body = %q", body)
-	}
-	// The daemon survives: metadata requests still answer.
-	resp2, metrics := postGet(t, ts, "/metrics")
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics after panic = %d", resp2.StatusCode)
-	}
-	if !strings.Contains(metrics, "bundled_handler_panics_total 1") {
-		t.Fatal("panic not counted on /metrics")
-	}
-	reqID := resp.Header.Get(obs.HeaderRequest)
-	logged := false
-	for _, line := range strings.Split(buf.String(), "\n") {
-		logged = logged || strings.Contains(line, `"level":"ERROR","msg":"request"`) &&
-			strings.Contains(line, `"request_id":"`+reqID+`"`) && strings.Contains(line, `"status":500`)
-	}
-	if !logged {
-		t.Errorf("no error-level request line for the panic %s:\n%s", reqID, buf.String())
-	}
-	_, body = postGet(t, ts, "/debug/traces")
-	var tl TracesResponse
-	if err := decodeString(body, &tl); err != nil {
-		t.Fatal(err)
-	}
-	traced := false
-	for _, doc := range tl.Traces {
-		traced = traced || doc.RootTag("request_id") == reqID && doc.RootTag("status") == "500"
-	}
-	if !traced {
-		t.Errorf("no trace with root status=500 for the panic %s: %s", reqID, body)
-	}
-	_, body = postGet(t, ts, "/v1/usage")
-	var use UsageResponse
-	if err := decodeString(body, &use); err != nil {
-		t.Fatal(err)
-	}
-	if len(use.Corpora) != 1 || use.Corpora[0].Key != "c" || use.Corpora[0].Errors != 1 {
-		t.Errorf("usage corpora = %+v, want one error billed to c", use.Corpora)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			path := "/v1/corpora/c/" + c.op
+			resp, body := postJSON(t, ts, path, c.body)
+			if resp.StatusCode != http.StatusInternalServerError {
+				t.Fatalf("panicking %s = %d (%s), want 500", c.op, resp.StatusCode, body)
+			}
+			if !strings.Contains(body, "internal error") {
+				t.Fatalf("500 body = %q", body)
+			}
+			// The daemon survives: metadata requests still answer.
+			resp2, metrics := postGet(t, ts, "/metrics")
+			if resp2.StatusCode != http.StatusOK {
+				t.Fatalf("/metrics after panic = %d", resp2.StatusCode)
+			}
+			if !strings.Contains(metrics, "bundled_handler_panics_total 1") {
+				t.Fatal("panic not counted on /metrics")
+			}
+			reqID := resp.Header.Get(obs.HeaderRequest)
+			logged := false
+			for _, line := range strings.Split(buf.String(), "\n") {
+				logged = logged || strings.Contains(line, `"level":"ERROR","msg":"request"`) &&
+					strings.Contains(line, `"request_id":"`+reqID+`"`) && strings.Contains(line, `"status":500`)
+			}
+			if !logged {
+				t.Errorf("no error-level request line for the panic %s:\n%s", reqID, buf.String())
+			}
+			_, body = postGet(t, ts, "/debug/traces")
+			var tl TracesResponse
+			if err := decodeString(body, &tl); err != nil {
+				t.Fatal(err)
+			}
+			traced := false
+			for _, doc := range tl.Traces {
+				traced = traced || doc.RootTag("request_id") == reqID && doc.RootTag("status") == "500"
+			}
+			if !traced {
+				t.Errorf("no trace with root status=500 for the panic %s: %s", reqID, body)
+			}
+			_, body = postGet(t, ts, "/v1/usage")
+			var use UsageResponse
+			if err := decodeString(body, &use); err != nil {
+				t.Fatal(err)
+			}
+			if len(use.Corpora) != 1 || use.Corpora[0].Key != "c" || use.Corpora[0].Errors != 1 {
+				t.Errorf("usage corpora = %+v, want one error billed to c", use.Corpora)
+			}
+			// The one execution slot came back: the next run is admitted
+			// (and panics again) instead of being shed with 503.
+			if resp, body := postJSON(t, ts, path, c.body); resp.StatusCode != http.StatusInternalServerError {
+				t.Errorf("%s after a panic = %d (%s), want 500 from an admitted run", c.op, resp.StatusCode, body)
+			}
+		})
 	}
 }
 
@@ -351,57 +430,6 @@ func TestExtraMetricsRendered(t *testing.T) {
 	}
 }
 
-// TestBatcherCallerCancel: a waiter whose context ends stops waiting
-// immediately; the batch itself completes for everyone else.
-func TestBatcherCallerCancel(t *testing.T) {
-	release := make(chan struct{})
-	b := newBatcher(1, 0, 0, func(ctx context.Context, offers [][]int) (*bundling.Configuration, error) {
-		select {
-		case <-release:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		return &bundling.Configuration{Revenue: 7}, nil
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := b.do(ctx, "k", [][]int{{0}})
-		errc <- err
-	}()
-	time.Sleep(20 * time.Millisecond) // let the call enter its pass
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("canceled waiter did not return")
-	}
-	// The pass itself still completes once released: a second waiter on
-	// the same batcher gets a result.
-	close(release)
-	cfg, _, err := b.do(context.Background(), "k2", [][]int{{1}})
-	if err != nil || cfg.Revenue != 7 {
-		t.Fatalf("post-cancel evaluate: cfg=%+v err=%v", cfg, err)
-	}
-}
-
-// TestBatcherBudget: with a batch budget set and no caller deadline, a
-// stuck evaluation fails with DeadlineExceeded instead of hanging the
-// drainer forever.
-func TestBatcherBudget(t *testing.T) {
-	b := newBatcher(1, 0, 30*time.Millisecond, func(ctx context.Context, offers [][]int) (*bundling.Configuration, error) {
-		<-ctx.Done()
-		return nil, ctx.Err()
-	})
-	_, _, err := b.do(context.Background(), "k", [][]int{{0}})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-}
-
 // TestUploadCostsEntriesNotShape: a corpus costs its entries, not its
 // declared consumers × items. A 2-entry 8,000 × 8,000 upload indexes in
 // under 64 MB; at stripe size 1 (8,000 stripes × 8,001 shard offsets) and
@@ -412,13 +440,9 @@ func TestUploadCostsEntriesNotShape(t *testing.T) {
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-	upload := func(id string, consumers int, options string) string {
-		return fmt.Sprintf(`{"id":%q,"options":{%s},"matrix":{"consumers":%d,"items":8000,"entries":[[0,0,5],[7999,7999,3]]}}`, id, options, consumers)
-	}
-
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	resp, body := postJSON(t, ts, "/v1/corpora", upload("wide", 8000, ""))
+	resp, body := postJSON(t, ts, "/v1/corpora", sparseUpload("wide", 8000, ""))
 	runtime.ReadMemStats(&after)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("8,000 × 8,000 upload: status %d, want 201 (%s)", resp.StatusCode, body)
@@ -428,13 +452,19 @@ func TestUploadCostsEntriesNotShape(t *testing.T) {
 	}
 
 	for _, c := range []struct{ name, body string }{
-		{"stripe size 1", upload("striped", 8000, `"stripe_size":1`)},
-		{"2^31 consumers", upload("tall", 1<<31, "")},
+		{"stripe size 1", sparseUpload("striped", 8000, `"stripe_size":1`)},
+		{"2^31 consumers", sparseUpload("tall", 1<<31, "")},
 	} {
 		if resp, body := postJSON(t, ts, "/v1/corpora", c.body); resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", c.name, resp.StatusCode, body)
 		}
 	}
+}
+
+// sparseUpload is a 2-entry corpus upload over 8,000 items: consumers and
+// options (inner JSON of the options object) set its declared shape.
+func sparseUpload(id string, consumers int, options string) string {
+	return fmt.Sprintf(`{"id":%q,"options":{%s},"matrix":{"consumers":%d,"items":8000,"entries":[[0,0,5],[7999,7999,3]]}}`, id, options, consumers)
 }
 
 // postGet is postJSON's GET sibling.

@@ -1,14 +1,15 @@
 // Package server implements bundled, the bundle-pricing serving subsystem:
 // a registry of named, long-lived Solver sessions keyed by corpus ID, an
-// LRU-bounded result cache keyed by exact corpus snapshot, a per-session
-// micro-batcher that coalesces concurrent evaluate requests, a durable
-// corpus Store that restores the registry across daemon restarts, a
-// tenancy layer (API-key auth, per-tenant ownership and quotas), and the
-// JSON HTTP API the cmd/bundled daemon and the bundling/client package
-// speak. Sessions run on any engine implementing Solver — the in-process
-// bundling.Solver or the internal/cluster coordinator that shards stripes
-// across a worker fleet — so persistence and tenancy apply unchanged to
-// single-machine and clustered serving.
+// LRU-bounded result cache keyed by exact corpus snapshot, admission
+// control over engine runs (each solve or evaluate runs on its own
+// request's goroutine and context), a durable corpus Store that restores
+// the registry across daemon restarts, a tenancy layer (API-key auth,
+// per-tenant ownership and quotas), and the JSON HTTP API the cmd/bundled
+// daemon and the bundling/client package speak. Sessions run on any
+// engine implementing Solver — the in-process bundling.Solver or the
+// internal/cluster coordinator that shards stripes across a worker fleet —
+// so persistence and tenancy apply unchanged to single-machine and
+// clustered serving.
 //
 //	POST   /v1/corpora               upload a corpus, create/replace its session
 //	GET    /v1/corpora               list live sessions (the caller's own)
@@ -80,14 +81,6 @@ type Config struct {
 	CacheEntries int
 	// MaxUploadBytes bounds a corpus upload body (0 = 64 MiB).
 	MaxUploadBytes int64
-	// BatchWorkers caps concurrent evaluations per micro-batch pass (0 = 4).
-	BatchWorkers int
-	// BatchWindow is the gather window of the evaluate micro-batcher: how
-	// long a drained batch waits for stragglers before executing. 0 drains
-	// immediately (group commit adapts batch size to load); a positive
-	// window trades that much latency for larger batches — more coalescing
-	// and fewer engine passes under bursty identical traffic.
-	BatchWindow time.Duration
 	// NewSolver builds the session engine for an uploaded corpus. Nil
 	// selects the local in-process solver (bundling.NewSolver); the
 	// cmd/bundled -workers flag installs the cluster coordinator here.
@@ -185,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxUploadBytes == 0 {
 		c.MaxUploadBytes = 64 << 20
-	}
-	if c.BatchWorkers == 0 {
-		c.BatchWorkers = 4
 	}
 	if c.MaxConcurrent == 0 {
 		c.MaxConcurrent = 64
@@ -549,7 +539,7 @@ func (s *Server) registerWith(id, tenant string, matrix *bundling.Matrix, opts b
 	if createdAt.IsZero() {
 		createdAt = time.Now().UTC()
 	}
-	sess := s.newSession(id, tenant, solver, opts, createdAt)
+	sess := newSession(id, tenant, solver, opts, createdAt)
 	replaced, evicted, err := s.reg.putAt(sess, version, s.cfg.Quotas, enforce, ifAbsent)
 	if err != nil {
 		releaseSession(sess) // a cluster engine has already fed its spans
@@ -564,12 +554,11 @@ func (s *Server) registerWith(id, tenant string, matrix *bundling.Matrix, opts b
 	return sess, nil
 }
 
-// newSession assembles a session around an already-built engine: stats
-// snapshot plus the per-session evaluate micro-batcher wired to the server
-// metrics. The caller installs it through one of the registry put paths,
-// which assigns the generation.
-func (s *Server) newSession(id, tenant string, solver Solver, opts bundling.Options, createdAt time.Time) *session {
-	sess := &session{
+// newSession assembles a session around an already-built engine and its
+// stats snapshot. The caller installs it through one of the registry put
+// paths, which assigns the generation.
+func newSession(id, tenant string, solver Solver, opts bundling.Options, createdAt time.Time) *session {
+	return &session{
 		id:        id,
 		tenant:    tenant,
 		solver:    solver,
@@ -577,13 +566,6 @@ func (s *Server) newSession(id, tenant string, solver Solver, opts bundling.Opti
 		stats:     solver.Stats(),
 		createdAt: createdAt,
 	}
-	sess.batcher = newBatcher(s.cfg.BatchWorkers, s.cfg.BatchWindow, s.cfg.DefaultTimeout, solver.EvaluateContext)
-	sess.batcher.onBatch = func(size, unique int) {
-		s.met.batches.Add(1)
-		s.met.batchedRequests.Add(int64(size))
-		s.met.coalescedInBatch.Add(int64(size - unique))
-	}
-	return sess
 }
 
 // releaseSession frees a session's external resources once it has left the
@@ -875,7 +857,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "apply delta: %v", err)
 		return
 	}
-	nsess := s.newSession(sess.id, sess.tenant, solver, sess.opts, sess.createdAt)
+	nsess := newSession(sess.id, sess.tenant, solver, sess.opts, sess.createdAt)
 	replaced, evicted, err := s.reg.putReplacing(nsess, sess, s.cfg.Quotas)
 	if err != nil {
 		releaseSession(nsess)
@@ -1007,45 +989,24 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.algorithm = req.Algorithm
-	key := sess.cacheKey("solve", req.Algorithm)
-	cfg, hit := s.cache.get(key)
-	rec.looked, rec.cached = true, hit
-	if hit {
-		s.met.cacheHits.Add(1)
-	} else {
-		s.met.cacheMisses.Add(1)
-		release, ok := s.admit(w, r)
-		if !ok {
-			return
-		}
-		ctx, cancel, ok := s.requestContext(w, r)
-		if !ok {
-			release()
-			return
-		}
-		cfg, err = sess.solver.SolveContext(ctx, alg)
-		cancel()
-		release()
-		if err != nil {
-			s.failRun(w, "solve", err)
-			return
-		}
-		s.cache.put(sess, key, cfg)
+	cfg, ok := s.cachedRun(w, r, sess, sess.cacheKey("solve", req.Algorithm), func(ctx context.Context) (*bundling.Configuration, error) {
+		return sess.solver.SolveContext(ctx, alg)
+	})
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, SolveResponse{
 		Corpus:    sess.id,
 		Version:   sess.version,
 		Algorithm: req.Algorithm,
-		Cached:    hit,
+		Cached:    rec.cached,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		Config:    configDoc(cfg),
 	})
 }
 
-// handleEvaluate prices a proposed lineup on a session. Misses go through
-// the session's micro-batcher, which coalesces concurrent identical
-// requests into one execution and prices distinct concurrent requests in
-// one bounded worker pass.
+// handleEvaluate prices a proposed lineup on a session, serving repeats
+// from the result cache.
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	rec := recordOf(w)
@@ -1063,48 +1024,53 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "no offers to evaluate")
 		return
 	}
-	key := sess.cacheKey("evaluate", canonicalOffers(req.Offers))
-	cfg, hit := s.cache.get(key)
-	rec.looked, rec.cached = true, hit
-	var batched bool
-	if hit {
-		s.met.cacheHits.Add(1)
-	} else {
-		s.met.cacheMisses.Add(1)
-		release, ok := s.admit(w, r)
-		if !ok {
-			return
-		}
-		ctx, cancel, ok := s.requestContext(w, r)
-		if !ok {
-			release()
-			return
-		}
-		// The batch executes under the batcher's own background context, so
-		// engine-internal spans cannot attach to this trace; the waiter-side
-		// span covers the coalesce window plus the shared execution.
-		bctx, bsp := obs.StartSpan(ctx, "batch")
-		bsp.Tag("offers", len(req.Offers))
-		var err error
-		cfg, batched, err = sess.batcher.do(bctx, key, req.Offers)
-		bsp.Tag("coalesced", batched)
-		bsp.End()
-		cancel()
-		release()
-		if err != nil {
-			s.failRun(w, "evaluate", err)
-			return
-		}
-		s.cache.put(sess, key, cfg)
+	cfg, ok := s.cachedRun(w, r, sess, sess.cacheKey("evaluate", canonicalOffers(req.Offers)), func(ctx context.Context) (*bundling.Configuration, error) {
+		return sess.solver.EvaluateContext(ctx, req.Offers)
+	})
+	if !ok {
+		return
 	}
 	writeJSON(w, http.StatusOK, EvaluateResponse{
 		Corpus:    sess.id,
 		Version:   sess.version,
-		Cached:    hit,
-		Batched:   batched,
+		Cached:    rec.cached,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
 		Config:    configDoc(cfg),
 	})
+}
+
+// cachedRun serves a solve or evaluate from the result cache, or runs it
+// on a miss: an execution slot, then the request's execution context, then
+// the engine call on the handler's own goroutine, then the result cached
+// under key. The request's deadline, disconnect and trace reach the engine,
+// and a panic reaches observe with the slot released. ok=false means the
+// error response is written.
+func (s *Server) cachedRun(w http.ResponseWriter, r *http.Request, sess *session, key string, run func(context.Context) (*bundling.Configuration, error)) (cfg *bundling.Configuration, ok bool) {
+	rec := recordOf(w)
+	cfg, rec.cached = s.cache.get(key)
+	rec.looked = true
+	if rec.cached {
+		s.met.cacheHits.Add(1)
+		return cfg, true
+	}
+	s.met.cacheMisses.Add(1)
+	release, ok := s.admit(w, r)
+	if !ok {
+		return nil, false
+	}
+	defer release()
+	ctx, cancel, ok := s.requestContext(w, r)
+	if !ok {
+		return nil, false
+	}
+	defer cancel()
+	cfg, err := run(ctx)
+	if err != nil {
+		s.failRun(w, rec.op, err)
+		return nil, false
+	}
+	s.cache.put(sess, key, cfg)
+	return cfg, true
 }
 
 // handleHealth reports liveness and, when a readiness gate is configured,
@@ -1161,7 +1127,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // canonicalOffers encodes an offer family independent of offer and item
-// order, the identity the result cache and the micro-batcher key on.
+// order, the identity the result cache keys on.
 // Offers that only differ in ordering evaluate identically (the engine
 // normalizes them), so they should share one cache slot.
 func canonicalOffers(offers [][]int) string {

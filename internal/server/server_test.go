@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bundling"
@@ -288,6 +290,23 @@ func TestSessionEvictionLRU(t *testing.T) {
 	}
 }
 
+// httpErrorCases are TestHTTPErrors' POSTs to a server with a 512-byte
+// upload cap, and FuzzHandler's seeds.
+var httpErrorCases = []struct {
+	name, path, body string
+	want             int
+}{
+	{"solve unknown corpus", "/v1/corpora/nope/solve", `{"algorithm":"matching"}`, http.StatusNotFound},
+	{"evaluate unknown corpus", "/v1/corpora/nope/evaluate", `{"offers":[[0]]}`, http.StatusNotFound},
+	{"create bad json", "/v1/corpora", `{"matrix": `, http.StatusBadRequest},
+	{"create no matrix", "/v1/corpora", `{"id":"x"}`, http.StatusBadRequest},
+	{"create bad strategy", "/v1/corpora", `{"id":"x","options":{"strategy":"hybrid"},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
+	{"create bad entries", "/v1/corpora", `{"id":"x","matrix":{"consumers":1,"items":1,"entries":[[5,5,1]]}}`, http.StatusBadRequest},
+	{"create too many price levels", "/v1/corpora", `{"id":"x","options":{"price_levels":4611686018427387904},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
+	{"create unknown field", "/v1/corpora", `{"id":"x","bogus":1}`, http.StatusBadRequest},
+	{"create oversized", "/v1/corpora", `{"matrix":{"consumers":1,"items":1,"entries":[` + strings.Repeat("[0,0,1],", 200) + `[0,0,1]]}}`, http.StatusRequestEntityTooLarge},
+}
+
 // TestHTTPErrors exercises the API's failure statuses.
 func TestHTTPErrors(t *testing.T) {
 	srv := New(Config{MaxUploadBytes: 512})
@@ -295,21 +314,7 @@ func TestHTTPErrors(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cases := []struct {
-		name, path, body string
-		want             int
-	}{
-		{"solve unknown corpus", "/v1/corpora/nope/solve", `{"algorithm":"matching"}`, http.StatusNotFound},
-		{"evaluate unknown corpus", "/v1/corpora/nope/evaluate", `{"offers":[[0]]}`, http.StatusNotFound},
-		{"create bad json", "/v1/corpora", `{"matrix": `, http.StatusBadRequest},
-		{"create no matrix", "/v1/corpora", `{"id":"x"}`, http.StatusBadRequest},
-		{"create bad strategy", "/v1/corpora", `{"id":"x","options":{"strategy":"hybrid"},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
-		{"create bad entries", "/v1/corpora", `{"id":"x","matrix":{"consumers":1,"items":1,"entries":[[5,5,1]]}}`, http.StatusBadRequest},
-		{"create too many price levels", "/v1/corpora", `{"id":"x","options":{"price_levels":4611686018427387904},"matrix":{"consumers":1,"items":1,"entries":[]}}`, http.StatusBadRequest},
-		{"create unknown field", "/v1/corpora", `{"id":"x","bogus":1}`, http.StatusBadRequest},
-		{"create oversized", "/v1/corpora", `{"matrix":{"consumers":1,"items":1,"entries":[` + strings.Repeat("[0,0,1],", 200) + `[0,0,1]]}}`, http.StatusRequestEntityTooLarge},
-	}
-	for _, c := range cases {
+	for _, c := range httpErrorCases {
 		t.Run(c.name, func(t *testing.T) {
 			resp, body := postJSON(t, ts, c.path, c.body)
 			if resp.StatusCode != c.want {
@@ -376,5 +381,109 @@ func TestCanonicalOffers(t *testing.T) {
 	c := canonicalOffers([][]int{{1, 2}, {3}})
 	if a == c {
 		t.Errorf("distinct families collide: %q", c)
+	}
+}
+
+// TestHealthDegradesWhenNotReady: a failing readiness gate turns /healthz
+// into a 503 with the failure as detail; a passing gate restores 200.
+func TestHealthDegradesWhenNotReady(t *testing.T) {
+	var down atomic.Bool
+	s := New(Config{Ready: func() error {
+		if down.Load() {
+			return errors.New("worker span 1 unreachable")
+		}
+		return nil
+	}})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	check := func(wantStatus int, wantBody string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("healthz status = %d, want %d", resp.StatusCode, wantStatus)
+		}
+		var h HealthResponse
+		if err := decodeInto(resp, &h); err != nil {
+			t.Fatal(err)
+		}
+		if h.Status != wantBody {
+			t.Fatalf("healthz status field = %q, want %q", h.Status, wantBody)
+		}
+		if wantStatus == http.StatusServiceUnavailable && h.Detail == "" {
+			t.Fatal("degraded health should carry a detail")
+		}
+	}
+	check(http.StatusOK, "ok")
+	down.Store(true)
+	check(http.StatusServiceUnavailable, "degraded")
+	down.Store(false)
+	check(http.StatusOK, "ok")
+}
+
+// decodeInto decodes a response body as JSON.
+func decodeInto(resp *http.Response, v any) error {
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// closableSolver wraps a Solver and records Close calls — the shape of the
+// cluster coordinator, whose Close releases worker-side spans.
+type closableSolver struct {
+	Solver
+	closed *atomic.Int64
+}
+
+func (c *closableSolver) Close() error {
+	c.closed.Add(1)
+	return nil
+}
+
+// TestCustomSolverFactory: an installed NewSolver factory builds every
+// session engine, and engines implementing io.Closer are released when
+// their session is replaced, deleted or dropped at shutdown.
+func TestCustomSolverFactory(t *testing.T) {
+	var built, closed atomic.Int64
+	s := New(Config{NewSolver: func(w *bundling.Matrix, opts bundling.Options) (Solver, error) {
+		built.Add(1)
+		inner, err := bundling.NewSolver(w, opts)
+		if err != nil {
+			return nil, err
+		}
+		return &closableSolver{Solver: inner, closed: &closed}, nil
+	}})
+	defer s.Close()
+	w := bundling.NewMatrix(2, 2)
+	w.MustSet(0, 0, 3)
+	if err := Preload(s, "f", w, bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if built.Load() != 1 {
+		t.Fatalf("factory built %d solvers, want 1", built.Load())
+	}
+	// Replacing the session must close the old engine.
+	if err := Preload(s, "f", w, bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if closed.Load() != 1 {
+		t.Fatalf("replace closed %d engines, want 1", closed.Load())
+	}
+	// Deleting it must close the new one.
+	if !t.Run("delete", func(t *testing.T) {
+		req := httptest.NewRequest(http.MethodDelete, "/v1/corpora/f", nil)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusNoContent {
+			t.Fatalf("delete status %d", rec.Code)
+		}
+	}) {
+		return
+	}
+	if closed.Load() != 2 {
+		t.Fatalf("delete closed %d engines total, want 2", closed.Load())
 	}
 }

@@ -345,6 +345,45 @@ func TestStageMetricsRendered(t *testing.T) {
 	}
 }
 
+// TestEvaluateTraceHoldsEngine: an uncached evaluate runs the engine under
+// its request's trace, so its trace holds the engine's evaluate span and
+// the evaluate stage counts exactly that one run.
+func TestEvaluateTraceHoldsEngine(t *testing.T) {
+	srv := New(Config{})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if err := Preload(srv, "ev", testMatrix(t, 40, 10, 8), bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	resp, body := postJSON(t, ts, "/v1/corpora/ev/evaluate", `{"offers":[[0,1],[2]]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("evaluate: %d: %s", resp.StatusCode, body)
+	}
+	_, metrics := getBody(t, ts, "/metrics")
+	if want := `bundled_stage_seconds_count{stage="evaluate"} 1`; !strings.Contains(metrics, want) {
+		t.Errorf("/metrics missing %q", want)
+	}
+	_, body = getBody(t, ts, "/debug/traces?limit=1")
+	var tl TracesResponse
+	if err := decodeString(body, &tl); err != nil {
+		t.Fatal(err)
+	}
+	if len(tl.Traces) != 1 || tl.Traces[0].TraceID != resp.Header.Get(obs.HeaderTrace) {
+		t.Fatalf("newest trace is not the evaluate's: %s", body)
+	}
+	names := map[string]bool{}
+	for _, sp := range tl.Traces[0].Spans {
+		names[sp.Name] = true
+	}
+	for _, want := range []string{"request", "queue", "evaluate"} {
+		if !names[want] {
+			t.Errorf("evaluate trace missing %q span (have %v)", want, names)
+		}
+	}
+}
+
 // getBody GETs a path and returns the response and body text.
 func getBody(t testing.TB, ts *httptest.Server, path string) (*http.Response, string) {
 	t.Helper()
