@@ -57,7 +57,6 @@ type options struct {
 	maxUploadMB  int64
 	workers      string
 	dataDir      string
-	deltaFold    int
 	authKeys     string
 	authFile     string
 	quotaCorpora int
@@ -90,12 +89,11 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&o.maxSessions, "max-sessions", 64, "max live corpus sessions (LRU eviction beyond)")
+	flag.IntVar(&o.maxSessions, "max-sessions", 64, "max resident corpus sessions, LRU-evicted beyond (an evicted persisted corpus stays listed and reloads on use)")
 	flag.IntVar(&o.cacheEntries, "cache", 1024, "result cache entries (negative disables)")
 	flag.Int64Var(&o.maxUploadMB, "max-upload-mb", 64, "max corpus upload size in MiB")
 	flag.StringVar(&o.workers, "workers", "", "comma-separated bundleworker addresses; enables distributed stripe-sharded solving")
 	flag.StringVar(&o.dataDir, "data-dir", "", "corpus persistence directory; uploads survive restarts (empty = in-memory only)")
-	flag.IntVar(&o.deltaFold, "delta-fold", 0, "delta-record chain length folded into a snapshot at compaction (0 = 16)")
 	flag.StringVar(&o.authKeys, "auth-keys", "", "inline tenant=key[,tenant=key...] API keys; enables multi-tenant auth")
 	flag.StringVar(&o.authFile, "auth-file", "", "API key file, one tenant=key per line (# comments); enables multi-tenant auth")
 	flag.IntVar(&o.quotaCorpora, "quota-corpora", 0, "max live corpora per tenant (0 = unlimited)")
@@ -210,9 +208,6 @@ func run(o options) error {
 		store, err = server.OpenStore(o.dataDir)
 		if err != nil {
 			return err
-		}
-		if o.deltaFold > 0 {
-			store.SetDeltaFold(o.deltaFold)
 		}
 		defer func() {
 			// Graceful flush: the final compaction pass runs after the

@@ -7,10 +7,11 @@ import (
 )
 
 // Delta is the columnar wire form of a corpus mutation batch: the binary body
-// of PATCH /v1/corpora/{id} and of the coordinator→worker span-delta feed.
-// The cells travel as parallel columns (consumer ids, item ids, values) in
-// application order — order matters, later cells override earlier ones — plus
-// a sparse ascending list of cell indices that are deletes. A delta is tiny
+// of PATCH /v1/corpora/{id}, the coordinator→worker span-delta feed and the
+// serving store's delta record. The cells travel as parallel columns
+// (consumer ids, item ids, values) in application order — order matters,
+// later cells override earlier ones — plus a sparse ascending list of cell
+// indices that are deletes. A delta is tiny
 // compared to the corpus it mutates, which is the point of the format: a
 // one-cell change ships a few dozen bytes.
 type Delta struct {
@@ -23,7 +24,8 @@ type Delta struct {
 	IfGeneration uint64
 	// FromVersion and ToVersion are the span snapshot nonces of the cluster
 	// feed: the worker applies the delta only if its replica holds
-	// FromVersion, and stamps the patched replica ToVersion. Both are 0 on
+	// FromVersion, and stamps the patched replica ToVersion. A store delta
+	// record carries its base and new generations in them. Both are 0 on
 	// the HTTP mutation surface.
 	FromVersion uint64
 	ToVersion   uint64
@@ -83,6 +85,12 @@ func EncodeDelta(d *Delta) []byte {
 	dst = appendFloatColumn(dst, d.Values)
 	dst = appendInt32Column(dst, d.Deletes)
 	return dst
+}
+
+// IsDelta reports whether buf starts a delta envelope, so a reader holding
+// either a delta or a record can dispatch on the envelope's kind.
+func IsDelta(buf []byte) bool {
+	return len(buf) >= hdrLen && buf[0] == magic0 && buf[1] == magic1 && buf[3] == kindDelta
 }
 
 // DecodeDelta parses one delta envelope. Structural invariants are enforced

@@ -18,7 +18,18 @@ func TestDeltaRoundTrip(t *testing.T) {
 	d := codec.DeltaFromCells("shop", 7, cells)
 	d.FromVersion = 1<<63 | 42
 	d.ToVersion = 1<<63 | 43
-	got, err := codec.DecodeDelta(codec.EncodeDelta(d))
+	buf := codec.EncodeDelta(d)
+	if !codec.IsDelta(buf) {
+		t.Error("IsDelta(delta envelope) = false")
+	}
+	rec, err := codec.EncodeRecord(&codec.Record{ID: "shop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if codec.IsDelta(rec) || codec.IsDelta(buf[:3]) {
+		t.Error("IsDelta accepted a record envelope or a truncated header")
+	}
+	got, err := codec.DecodeDelta(buf)
 	if err != nil {
 		t.Fatal(err)
 	}

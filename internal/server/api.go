@@ -226,8 +226,8 @@ type WorkerStatusDoc struct {
 // HealthResponse is the GET /healthz payload. Status is "ok" (200) or
 // "degraded" (503, Detail naming the unreachable dependency). Workers
 // lists per-worker circuit-breaker state when the daemon fronts a fleet.
-// Sessions counts live in-memory sessions; Corpora counts everything
-// addressable, including evicted-but-persisted corpora. GoVersion,
+// Sessions counts resident in-memory sessions; Corpora counts every live
+// corpus, including persisted ones whose sessions were LRU-evicted. GoVersion,
 // BuildVersion and Revision identify the binary (runtime/debug build
 // info; version and revision are omitted when the build is unstamped).
 type HealthResponse struct {

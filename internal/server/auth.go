@@ -246,19 +246,12 @@ func (s *Server) guard(next http.Handler) http.Handler {
 
 // authorize checks that the request's tenant may operate on a session. A
 // session with an empty owner is public — uploaded while authentication was
-// off (e.g. the -demo corpus) — and stays accessible to every tenant.
+// off (e.g. the -demo corpus) — and stays accessible to every tenant. The
+// registry's install gate shares its semantics via ownerError.
 func (s *Server) authorize(w http.ResponseWriter, sess *session) bool {
-	return s.authorizeOwner(w, sess.id, sess.tenant)
-}
-
-// authorizeOwner is the one ownership predicate for request handling:
-// authorize applies it to live sessions, the store read-through paths
-// (lazy reload, persisted delete) to a record's owner. The registry's
-// install gate shares its semantics via ownerError.
-func (s *Server) authorizeOwner(w http.ResponseWriter, id, owner string) bool {
-	if !s.cfg.Auth.Enabled() || owner == "" || owner == recordOf(w).tenant {
+	if !s.cfg.Auth.Enabled() || sess.tenant == "" || sess.tenant == recordOf(w).tenant {
 		return true
 	}
-	s.fail(w, http.StatusForbidden, "%v", &ownerError{id: id})
+	s.fail(w, http.StatusForbidden, "%v", &ownerError{id: sess.id})
 	return false
 }

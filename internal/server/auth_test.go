@@ -225,7 +225,7 @@ func TestQuotas(t *testing.T) {
 }
 
 // TestEvictedCorpusKeepsOwnershipAndQuota pins the durable-tenancy
-// guarantees to the store, not the in-memory registry: LRU-evicting a
+// guarantees to the catalog entry, not the resident engine: LRU-evicting a
 // session must not let another tenant take over its ID, must not stop the
 // corpus counting against its owner's quotas, and the owner must still be
 // able to DELETE it to free both.
@@ -253,8 +253,9 @@ func TestEvictedCorpusKeepsOwnershipAndQuota(t *testing.T) {
 	if srv.Sessions() != 1 {
 		t.Fatalf("sessions = %d, want 1 (MaxSessions)", srv.Sessions())
 	}
-	// The listing reaches past the registry: alice sees both corpora (the
-	// evicted one holds quota and is deletable), bob sees neither.
+	// The listing reaches past the resident engines: alice sees both
+	// corpora (the evicted one holds quota and is deletable), bob sees
+	// neither.
 	listIDs := func(key string) []string {
 		t.Helper()
 		code, body := authRequest(t, ts, http.MethodGet, "/v1/corpora", key, "")
@@ -305,11 +306,11 @@ func TestEvictedCorpusKeepsOwnershipAndQuota(t *testing.T) {
 	}
 }
 
-// TestEvictedCorpusLazilyReloads: the registry is a bounded cache over the
-// store — solve/GET on an evicted-but-persisted corpus re-indexes it on
-// demand (serving identical results at the same generation) instead of
-// 404ing an ID the listing names, and ownership is checked before the
-// rebuild so other tenants cannot make the daemon churn index builds.
+// TestEvictedCorpusLazilyReloads: an evicted persisted corpus keeps its
+// registry entry — solve/GET re-indexes it on demand (serving identical
+// results at the same generation) instead of 404ing an ID the listing
+// names, and ownership is checked before the rebuild so other tenants
+// cannot make the daemon churn index builds.
 func TestEvictedCorpusLazilyReloads(t *testing.T) {
 	auth, err := ParseAuthKeys("alice=sk-a,bob=sk-b")
 	if err != nil {

@@ -257,7 +257,9 @@ func TestPatchPersistRestartAndFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.SetDeltaFold(fold)
+		st.mu.Lock() // the compactor reads it under mu
+		st.foldAt = fold
+		st.mu.Unlock()
 		srv := New(Config{Store: st})
 		if _, err := srv.Restore(); err != nil {
 			t.Fatal(err)

@@ -302,8 +302,8 @@ func TestLazyBootDoesNotReadRecords(t *testing.T) {
 		t.Fatalf("listing indexed %d sessions; must serve from manifest metadata", n)
 	}
 
-	// Heal the files; each first solve re-indexes through the read-through
-	// path and must match the pre-restart result exactly.
+	// Heal the files; each first solve re-indexes its engine-less entry and
+	// must match the pre-restart result exactly.
 	for f, buf := range saved {
 		if err := os.WriteFile(f, buf, 0o644); err != nil {
 			t.Fatal(err)

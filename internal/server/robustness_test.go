@@ -241,7 +241,8 @@ func TestDeadlineClientDisconnect(t *testing.T) {
 	engineReturned(t, evaluated, context.Canceled)
 }
 
-// panicSolver blows up inside the handler's solve and evaluate paths.
+// panicSolver blows up inside the handler's solve, evaluate and PATCH
+// paths.
 type panicSolver struct{ Solver }
 
 func (p *panicSolver) SolveContext(context.Context, bundling.Algorithm) (*bundling.Configuration, error) {
@@ -252,15 +253,20 @@ func (p *panicSolver) EvaluateContext(context.Context, [][]int) (*bundling.Confi
 	panic("solver exploded")
 }
 
-// TestPanicRecovery: an engine panic in a solve or an evaluate becomes a
-// 500 with the panic counter bumped, observed like any other request —
-// logged at error level, traced with status=500 and billed as an error to
-// its corpus. The panicking run releases its only execution slot, and the
-// server keeps serving afterwards.
+func (p *panicSolver) ApplyDeltaSolver([]bundling.DeltaCell) (Solver, error) {
+	panic("solver exploded")
+}
+
+// TestPanicRecovery: an engine panic in a solve, an evaluate or a PATCH
+// becomes a 500 with the panic counter bumped, observed like any other
+// request — logged at error level, traced with status=500 and billed as an
+// error to its corpus. The panicking run releases its only execution slot,
+// and the server keeps serving afterwards.
 func TestPanicRecovery(t *testing.T) {
 	for _, c := range []struct{ op, body string }{
 		{"solve", `{"algorithm":"matching"}`},
 		{"evaluate", `{"offers":[[0,1],[2]]}`},
+		{"patch", `{"cells":[{"consumer":0,"item":0,"value":3}]}`},
 	} {
 		t.Run(c.op, func(t *testing.T) {
 			var buf bytes.Buffer
@@ -283,8 +289,13 @@ func TestPanicRecovery(t *testing.T) {
 			}
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
-			path := "/v1/corpora/c/" + c.op
-			resp, body := postJSON(t, ts, path, c.body)
+			send := func() (*http.Response, string) {
+				if c.op == "patch" {
+					return patchBody(t, ts, "c", "application/json", []byte(c.body))
+				}
+				return postJSON(t, ts, "/v1/corpora/c/"+c.op, c.body)
+			}
+			resp, body := send()
 			if resp.StatusCode != http.StatusInternalServerError {
 				t.Fatalf("panicking %s = %d (%s), want 500", c.op, resp.StatusCode, body)
 			}
@@ -330,7 +341,7 @@ func TestPanicRecovery(t *testing.T) {
 			}
 			// The one execution slot came back: the next run is admitted
 			// (and panics again) instead of being shed with 503.
-			if resp, body := postJSON(t, ts, path, c.body); resp.StatusCode != http.StatusInternalServerError {
+			if resp, body := send(); resp.StatusCode != http.StatusInternalServerError {
 				t.Errorf("%s after a panic = %d (%s), want 500 from an admitted run", c.op, resp.StatusCode, body)
 			}
 		})

@@ -1,23 +1,25 @@
 // Package server implements bundled, the bundle-pricing serving subsystem:
-// a registry of named, long-lived Solver sessions keyed by corpus ID, an
-// LRU-bounded result cache keyed by exact corpus snapshot, admission
+// a registry that is the daemon's one corpus catalog — every live corpus by
+// ID, holding a Solver session for the LRU-bounded set of resident ones —
+// an LRU-bounded result cache keyed by exact corpus snapshot, admission
 // control over engine runs (each solve or evaluate runs on its own
-// request's goroutine and context), a durable corpus Store that restores
-// the registry across daemon restarts, a tenancy layer (API-key auth,
-// per-tenant ownership and quotas), and the JSON HTTP API the cmd/bundled
-// daemon and the bundling/client package speak. Sessions run on any
-// engine implementing Solver — the in-process bundling.Solver or the
-// internal/cluster coordinator that shards stripes across a worker fleet —
-// so persistence and tenancy apply unchanged to single-machine and
-// clustered serving.
+// request's goroutine and context), a durable corpus Store that persists
+// every upload and PATCH and refills the catalog after a restart, a
+// tenancy layer (API-key auth, per-tenant ownership and quotas), and the
+// JSON HTTP API the cmd/bundled daemon and the bundling/client package
+// speak. Sessions run on any engine implementing Solver — the in-process
+// bundling.Solver or the internal/cluster coordinator that shards stripes
+// across a worker fleet — so persistence and tenancy apply unchanged to
+// single-machine and clustered serving.
 //
 //	POST   /v1/corpora               upload a corpus, create/replace its session
-//	GET    /v1/corpora               list live sessions (the caller's own)
-//	GET    /v1/corpora/{id}          one session's info
-//	DELETE /v1/corpora/{id}          evict a session
+//	GET    /v1/corpora               list live corpora (the caller's own)
+//	GET    /v1/corpora/{id}          one corpus's info
+//	DELETE /v1/corpora/{id}          delete a corpus
 //	POST   /v1/corpora/{id}/solve    run a configuration algorithm
 //	POST   /v1/corpora/{id}/evaluate price a caller-proposed lineup
-//	GET    /healthz                  liveness + session count
+//	PATCH  /v1/corpora/{id}          apply a delta to a corpus in place
+//	GET    /healthz                  liveness + session and corpus counts
 //	GET    /metrics                  Prometheus text metrics
 //
 // With an Auth configured, /v1 requests must carry a tenant's API key
@@ -74,8 +76,10 @@ type DeltaSolver interface {
 
 // Config tunes a Server. The zero value serves with sensible defaults.
 type Config struct {
-	// MaxSessions bounds the registry; creating a session beyond it evicts
-	// the least-recently-used one (0 = 64).
+	// MaxSessions bounds the resident sessions, the corpora whose engines
+	// are in memory; installing one beyond it evicts the least-recently-used
+	// engine (0 = 64). An evicted persisted corpus stays listed and reloads
+	// on its next request; a memory-only one is dropped.
 	MaxSessions int
 	// CacheEntries bounds the result cache (0 = 1024, negative disables).
 	CacheEntries int
@@ -90,8 +94,8 @@ type Config struct {
 	// (e.g. a required cluster worker being unreachable).
 	Ready func() error
 	// Store, if set, persists every uploaded corpus and lets Restore
-	// rebuild the session registry after a restart. Nil keeps sessions
-	// in-memory only.
+	// refill the registry after a restart. Nil keeps sessions in-memory
+	// only.
 	Store *Store
 	// Auth, if enabled, requires a tenant API key on every /v1 request and
 	// scopes corpus ownership to the authenticated tenant. Nil serves open.
@@ -221,11 +225,7 @@ func New(cfg Config) *Server {
 		s.traces = obs.NewRing(cfg.TraceRing)
 	}
 	s.use = newUsageSet(cfg.UsageTopK, cfg.UsageWindow)
-	// The registry's install gate and quota accounting reach past memory:
-	// an LRU-evicted corpus keeps its persisted record, so it keeps its
-	// owner and keeps counting against its tenant.
 	s.reg.authOn = cfg.Auth.Enabled()
-	s.reg.store = cfg.Store
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/corpora", s.handleCreate)
 	mux.HandleFunc("GET /v1/corpora", s.handleList)
@@ -260,24 +260,53 @@ func (s *Server) Handler() http.Handler {
 	return s.observe(s.guard(s.mux))
 }
 
-// Restore readies the configured Store's corpora for serving — lazily. Boot
-// reads only the manifest: it seeds every known ID's generation counter
-// (deleted IDs included, so post-restart uploads continue their sequences)
-// and returns the live corpus count; no record file is opened and no index
-// is built, so restart time is O(manifest) instead of O(corpora × index
-// build). Listings and /healthz serve immediately from manifest metadata,
-// and each corpus re-indexes on its first solve/evaluate through the
-// registry's read-through path (lookupSession), exactly as an LRU-evicted
-// corpus always has. A cluster-backed daemon therefore feeds worker spans on
-// first touch — each lazily restored session draws a new span nonce, so
-// stale pre-restart spans on the fleet can never satisfy its version
-// checks.
+// Restore fills the registry from the configured Store's manifest in one
+// pass: an engine-less entry for every live corpus, and every known ID's
+// generation counter (deleted IDs included, so post-restart uploads
+// continue their sequences). No record file is opened and no index is
+// built, so restart time is O(manifest) instead of O(corpora × index
+// build). Listings and /healthz serve immediately, and each corpus
+// re-indexes on its first request (lookupSession), exactly as an
+// LRU-evicted corpus does. A cluster-backed daemon therefore feeds worker
+// spans on first touch — each lazily restored session draws a new span
+// nonce, so stale pre-restart spans on the fleet can never satisfy its
+// version checks. A corpus whose manifest entry does not parse is skipped
+// and reported in the error; the rest are restored.
 func (s *Server) Restore() (int, error) {
 	if s.cfg.Store == nil {
 		return 0, nil
 	}
-	s.reg.seedVersions(s.cfg.Store.Generations())
-	return s.cfg.Store.Len(), nil
+	live, gens := s.cfg.Store.Catalog()
+	stubs := make([]*session, 0, len(live))
+	var errs []error
+	for _, info := range live {
+		stub, err := stubOf(info)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		stubs = append(stubs, stub)
+	}
+	s.reg.restore(stubs, gens)
+	return len(stubs), errors.Join(errs...)
+}
+
+// stubOf builds the engine-less entry of a persisted corpus from its
+// manifest listing.
+func stubOf(info CorpusInfo) (*session, error) {
+	opts, err := info.Options.options()
+	if err != nil {
+		return nil, fmt.Errorf("corpus %q: options: %w", info.ID, err)
+	}
+	return &session{
+		id:        info.ID,
+		version:   info.Version,
+		tenant:    info.Tenant,
+		opts:      opts,
+		stats:     bundling.SolverStats{Consumers: info.Consumers, Items: info.Items, Entries: info.Entries},
+		createdAt: info.CreatedAt,
+		persisted: true,
+	}, nil
 }
 
 // Close releases every session (including any remote state a cluster
@@ -290,7 +319,7 @@ func (s *Server) Close() {
 	}
 }
 
-// Sessions returns the live session count (used by health and tests).
+// Sessions returns the resident session count (used by health and tests).
 func (s *Server) Sessions() int { return s.reg.len() }
 
 // writeJSON emits a JSON response.
@@ -385,7 +414,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// An advisory admission pass (ownership, quotas) runs before the
 	// expensive engine build so a doomed upload is rejected cheaply; the
 	// authoritative checks run atomically with the install inside the
-	// registry, where they also see evicted-but-persisted corpora.
+	// registry.
 	if err := s.reg.admitCheck(rec.tenant, req.ID, matrix.Entries(), s.cfg.Quotas); err != nil {
 		s.failAdmit(w, err)
 		return
@@ -406,6 +435,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.corpus = sess.id // covers server-assigned IDs
 	if s.cfg.Store != nil {
+		defer close(sess.durable)
 		stored := CorpusRecord{
 			ID:         sess.id,
 			Tenant:     sess.tenant,
@@ -423,15 +453,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		psp.End()
 		if perr != nil {
 			// An upload the caller cannot trust to survive a restart must
-			// not be accepted: roll the session back (only if it is still
-			// ours — a concurrent upload may have replaced it) and fall
-			// back to the generation the disk still guarantees, so a
-			// transient store fault never turns a serving corpus into 404.
+			// not be accepted: roll the entry back to the generation the
+			// disk still guarantees, so a transient store fault never turns
+			// a serving corpus into 404.
 			s.met.storeErrors.Add(1)
-			if removed := s.reg.deleteIf(sess); removed != nil {
-				s.retireSession(removed)
-				s.recoverFromStore(sess.id)
-			}
+			s.rollback(sess)
 			s.fail(w, http.StatusInternalServerError, "persist corpus: %v", perr)
 			return
 		}
@@ -489,46 +515,25 @@ func (s *Server) failAdmit(w http.ResponseWriter, err error) {
 	s.fail(w, http.StatusTooManyRequests, "%v", err)
 }
 
-// recoverFromStore re-indexes the store's live generation of id after a
-// failed persist wiped the in-memory session, restoring the corpus to the
-// state a restart would produce. Best effort: if the record cannot be
-// loaded the ID stays absent, exactly as after a crash. Installs only if
-// the ID is still free — a concurrent upload that installed a newer
-// session meanwhile must not be stomped with stale disk state.
-func (s *Server) recoverFromStore(id string) {
-	if rec, ok := s.cfg.Store.LiveRecord(id); ok {
-		_, _ = s.installRecord(rec)
+// rollback undoes a failed persist of sess's generation: the entry goes
+// back to the generation the disk still holds, engine-less, or leaves the
+// catalog when the disk holds none — what a restart would serve. An entry
+// that moved on to a newer generation meanwhile is left alone.
+func (s *Server) rollback(sess *session) {
+	live, _ := s.cfg.Store.Catalog()
+	var disk *session
+	if info, ok := live[sess.id]; ok {
+		disk, _ = stubOf(info) // an unparsable entry leaves the ID absent, as a restart would
 	}
+	s.retireSession(s.reg.swapAt(sess.id, sess.version, disk))
 }
 
-// register indexes a corpus and installs its session (replacing any session
-// under the same ID; empty ID gets a server-assigned one). With enforce set
-// the tenant quota check runs atomically with the install; trusted paths
-// (preload, restore, recovery) pass false.
-func (s *Server) register(id, tenant string, matrix *bundling.Matrix, opts bundling.Options, enforce bool) (*session, error) {
-	return s.registerWith(id, tenant, matrix, opts, 0, time.Time{}, enforce, false)
-}
-
-// installRecord re-indexes a persisted record into a session at the
-// record's generation, owner and creation time — the lazy-reload and
-// persist-recovery paths, replaying state the store already admitted. It
-// fails with errAlreadyInstalled instead of replacing a session a concurrent
-// upload installed meanwhile.
-func (s *Server) installRecord(rec CorpusRecord) (*session, error) {
-	opts, err := rec.Options.options()
-	if err != nil {
-		return nil, fmt.Errorf("options: %w", err)
-	}
-	matrix, err := rec.Matrix.Matrix()
-	if err != nil {
-		return nil, err
-	}
-	return s.registerWith(rec.ID, rec.Tenant, matrix, opts, rec.Generation, rec.CreatedAt, false, true)
-}
-
-// registerWith is the shared body of the register variants: version 0 and
-// a zero time select the next generation and "now".
-func (s *Server) registerWith(id, tenant string, matrix *bundling.Matrix, opts bundling.Options, version int, createdAt time.Time, enforce, ifAbsent bool) (*session, error) {
+// register indexes a corpus and installs its session at the ID's next
+// generation (an empty ID gets a server-assigned one). An upload runs the
+// tenant admission checks atomically with the install and, with a Store
+// configured, is a persisted session whose durable channel the caller
+// closes once the persist resolves. Preload passes upload=false.
+func (s *Server) register(id, tenant string, matrix *bundling.Matrix, opts bundling.Options, upload bool) (*session, error) {
 	solver, err := s.cfg.NewSolver(matrix, opts)
 	if err != nil {
 		return nil, err
@@ -536,22 +541,28 @@ func (s *Server) registerWith(id, tenant string, matrix *bundling.Matrix, opts b
 	if id == "" {
 		id = s.reg.nextID()
 	}
-	if createdAt.IsZero() {
-		createdAt = time.Now().UTC()
+	sess := newSession(id, tenant, solver, opts, time.Now().UTC())
+	if upload && s.cfg.Store != nil {
+		sess.persisted, sess.durable = true, make(chan struct{})
 	}
-	sess := newSession(id, tenant, solver, opts, createdAt)
-	replaced, evicted, err := s.reg.putAt(sess, version, s.cfg.Quotas, enforce, ifAbsent)
+	replaced, evicted, err := s.reg.put(sess, s.cfg.Quotas, upload)
 	if err != nil {
 		releaseSession(sess) // a cluster engine has already fed its spans
 		return nil, err
 	}
 	s.retireSession(replaced)
+	s.releaseEvicted(evicted)
+	s.met.uploads.Add(1)
+	return sess, nil
+}
+
+// releaseEvicted releases the engines the registry's LRU bound evicted.
+// Their cached results stay: a lazy reload restores the same snapshot.
+func (s *Server) releaseEvicted(evicted []*session) {
 	for _, victim := range evicted {
 		s.met.evictions.Add(1)
 		releaseSession(victim)
 	}
-	s.met.uploads.Add(1)
-	return sess, nil
 }
 
 // newSession assembles a session around an already-built engine and its
@@ -606,25 +617,12 @@ func Preload(s *Server, id string, w *bundling.Matrix, opts bundling.Options) er
 }
 
 // handleList reports the corpora the caller may see: with auth enabled,
-// its own plus the public ones; open servers list everything. The listing
-// reaches past the in-memory registry to evicted-but-persisted corpora —
-// they still hold quota and remain deletable, so the listing must agree
-// with the quota accounting and let a tenant find the IDs that DELETE
-// would free.
+// its own plus the public ones; open servers list everything. Evicted and
+// not-yet-reloaded corpora are listed too — they still hold quota and
+// remain deletable, so the listing agrees with the quota accounting and
+// lets a tenant find the IDs that DELETE would free.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	infos := s.reg.list()
-	if s.cfg.Store != nil {
-		live := make(map[string]bool, len(infos))
-		for _, info := range infos {
-			live[info.ID] = true
-		}
-		for _, info := range s.cfg.Store.ListLive(recordOf(w).tenant, !s.cfg.Auth.Enabled()) {
-			if !live[info.ID] {
-				infos = append(infos, info)
-			}
-		}
-		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
-	}
 	if s.cfg.Auth.Enabled() {
 		tenant := recordOf(w).tenant
 		visible := infos[:0]
@@ -638,67 +636,77 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, ListCorporaResponse{Corpora: infos})
 }
 
-// lookupSession resolves id to an authorized live session for serving. The
-// registry is a bounded cache over the store, so a miss reads through: an
-// evicted-but-persisted corpus is lazily re-indexed at its persisted
-// generation — every ID the listing names is servable, not just the ones
-// still in memory. Authorization runs before the expensive rebuild, so
-// another tenant probing the ID cannot make the daemon churn index builds.
-// Returns nil after writing the error response.
+// lookupSession resolves id to an authorized session with its engine, for
+// serving. An engine-less entry — LRU-evicted, or untouched since boot — is
+// re-indexed from its record first (reload). Authorization runs before the
+// rebuild, so another tenant probing the ID cannot make the daemon churn
+// index builds. Returns nil after writing the error response.
 func (s *Server) lookupSession(w http.ResponseWriter, r *http.Request, id string) *session {
-	if sess, ok := s.reg.peek(id); ok {
-		return s.servePeeked(w, sess)
+	for {
+		sess, ok := s.reg.peek(id)
+		if !ok {
+			s.fail(w, http.StatusNotFound, "no corpus %q", id)
+			return nil
+		}
+		if !s.authorize(w, sess) {
+			return nil
+		}
+		if sess.solver != nil {
+			s.reg.touch(sess)
+			return sess
+		}
+		if sess, done := s.reload(w, r, sess); done {
+			return sess
+		}
+		// The entry moved to another generation, or was deleted, while
+		// the engine built: look again.
 	}
-	if s.cfg.Store == nil {
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return nil
-	}
-	rec, ok := s.cfg.Store.LiveRecord(id)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return nil
-	}
-	if !s.authorizeOwner(w, id, rec.Tenant) {
-		return nil
+}
+
+// reload re-indexes the engine-less entry stub from the store and swaps the
+// engine into the entry, if the entry is still at stub's generation. It
+// first waits out that generation's persist, so the record it reads is the
+// one the entry names, and it never serves another generation. done=false
+// means the entry moved on meanwhile; a nil session with done=true means
+// the error response is written.
+func (s *Server) reload(w http.ResponseWriter, r *http.Request, stub *session) (sess *session, done bool) {
+	stub.waitDurable()
+	rec, ok := s.cfg.Store.LiveRecord(stub.id)
+	if !ok || rec.Generation != stub.version {
+		if cur, live := s.reg.peek(stub.id); !live || cur.version != stub.version {
+			return nil, false
+		}
+		// The entry stands but its record does not load: serve the
+		// corpus as absent, as after a crash.
+		s.fail(w, http.StatusNotFound, "no corpus %q", stub.id)
+		return nil, true
 	}
 	_, isp := obs.StartSpan(r.Context(), "index")
 	isp.Tag("reload", true)
-	sess, err := s.installRecord(rec)
+	matrix, err := rec.Matrix.Matrix()
+	var solver Solver
+	if err == nil {
+		solver, err = s.cfg.NewSolver(matrix, stub.opts)
+	}
 	isp.End()
-	if errors.Is(err, errAlreadyInstalled) {
-		// A concurrent upload or reload won the install; serve its session.
-		if sess, ok := s.reg.peek(id); ok {
-			return s.servePeeked(w, sess)
-		}
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return nil
-	}
 	if err != nil {
-		s.fail(w, http.StatusInternalServerError, "reload corpus %q: %v", id, err)
-		return nil
+		s.fail(w, http.StatusInternalServerError, "reload corpus %q: %v", stub.id, err)
+		return nil, true
 	}
-	// A DELETE may have durably removed the corpus while the rebuild ran;
-	// the install must not resurrect it as a ghost session that serves,
-	// holds quota and blocks re-claim of the freed ID. Re-validate
-	// liveness after the install and back out if the generation is gone
-	// (deletePersisted's memory sweep covers the opposite interleaving).
-	if _, gen, _, live := s.cfg.Store.LiveInfo(id); !live || gen != rec.Generation {
-		s.retireSession(s.reg.deleteIf(sess))
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return nil
+	sess = newSession(stub.id, stub.tenant, solver, stub.opts, stub.createdAt)
+	sess.version, sess.persisted = stub.version, true
+	cur, evicted := s.reg.resume(stub, sess)
+	if cur != sess {
+		releaseSession(sess)
+		if cur == nil {
+			return nil, false
+		}
+		s.reg.touch(cur) // a concurrent reload of the same entry won
+		return cur, true
 	}
+	s.releaseEvicted(evicted)
 	s.met.restores.Add(1)
-	return sess
-}
-
-// servePeeked authorizes a peeked session and promotes its LRU recency for
-// serving; nil (response written) when the caller may not touch it.
-func (s *Server) servePeeked(w http.ResponseWriter, sess *session) *session {
-	if !s.authorize(w, sess) {
-		return nil
-	}
-	s.reg.touch(sess)
-	return sess
+	return sess, true
 }
 
 // handleInfo reports one session.
@@ -710,64 +718,29 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.info())
 }
 
-// handleDelete evicts a session and removes its persisted record. An ID
-// with no live session may still be an LRU-evicted corpus with a persisted
-// record — deletable too, or it would hold its tenant's quota forever.
+// handleDelete removes a corpus's entry and its persisted record,
+// resident or not.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess, ok := s.reg.peek(id)
 	if !ok {
-		s.deletePersisted(w, id)
+		s.fail(w, http.StatusNotFound, "no corpus %q", id)
 		return
 	}
 	if !s.authorize(w, sess) {
 		return
 	}
-	// Delete exactly the session the caller was authorized on: a concurrent
-	// re-upload may have replaced it, and that newer corpus (possibly
-	// another tenant's claim of a freed ID) must survive — deleteIf skips a
-	// replaced session, and the generation-aware store delete is a no-op
-	// once a newer generation is persisted.
-	s.retireSession(s.reg.deleteIf(sess))
-	if !s.deleteRecord(w, id, sess.version) {
-		return
+	// Delete exactly the generation the caller was authorized on: a
+	// concurrent re-upload or PATCH may have replaced it, and that newer
+	// corpus (possibly another tenant's claim of a freed ID) must survive,
+	// record and all.
+	if removed := s.reg.swapAt(id, sess.version, nil); removed != nil {
+		s.retireSession(removed)
+		if !s.deleteRecord(w, id, sess.version) {
+			return
+		}
 	}
-	s.sweepResurrected(id, sess.version)
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// deletePersisted handles DELETE for an ID with no live session: the corpus
-// may still hold a persisted record (and quota) after an LRU eviction.
-func (s *Server) deletePersisted(w http.ResponseWriter, id string) {
-	if s.cfg.Store == nil {
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return
-	}
-	owner, gen, _, ok := s.cfg.Store.LiveInfo(id)
-	if !ok {
-		s.fail(w, http.StatusNotFound, "no corpus %q", id)
-		return
-	}
-	if !s.authorizeOwner(w, id, owner) {
-		return
-	}
-	if !s.deleteRecord(w, id, gen) {
-		return
-	}
-	s.sweepResurrected(id, gen)
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// sweepResurrected evicts a session a lazy reload re-installed at or below
-// the generation a delete just tombstoned. The reload re-checks store
-// liveness after installing and every delete path sweeps after
-// tombstoning, so whichever runs last cleans up — a durably deleted corpus
-// can never linger as a ghost session that serves, holds quota and blocks
-// re-claim of the freed ID.
-func (s *Server) sweepResurrected(id string, gen int) {
-	if sess, ok := s.reg.peek(id); ok && sess.version <= gen {
-		s.retireSession(s.reg.deleteIf(sess))
-	}
 }
 
 // deleteRecord removes the persisted record of id at generation gen,
@@ -832,6 +805,9 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusConflict, "corpus %q is at generation %d, not %d", id, sess.version, req.IfGeneration)
 		return
 	}
+	// The delta record chains onto the base generation's record, so the
+	// base's own persist must have landed first.
+	sess.waitDurable()
 	// The incremental repair is engine-bound work (touched-item singleton
 	// re-pricing, worker delta feeds), so it runs under an execution slot
 	// like a solve.
@@ -839,26 +815,29 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	_, msp := obs.StartSpan(r.Context(), "mutate")
-	msp.Tag("cells", len(req.Cells))
-	var solver Solver
-	var err error
-	switch t := sess.solver.(type) {
-	case *bundling.Solver:
-		solver, err = t.ApplyDelta(req.Cells)
-	case DeltaSolver:
-		solver, err = t.ApplyDeltaSolver(req.Cells)
-	default:
-		err = fmt.Errorf("session engine does not support incremental mutation")
-	}
-	msp.End()
-	release()
+	solver, err := func() (Solver, error) {
+		defer release() // an engine panic must not leak the slot
+		_, msp := obs.StartSpan(r.Context(), "mutate")
+		defer msp.End()
+		msp.Tag("cells", len(req.Cells))
+		switch t := sess.solver.(type) {
+		case *bundling.Solver:
+			return t.ApplyDelta(req.Cells)
+		case DeltaSolver:
+			return t.ApplyDeltaSolver(req.Cells)
+		}
+		return nil, fmt.Errorf("session engine does not support incremental mutation")
+	}()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "apply delta: %v", err)
 		return
 	}
 	nsess := newSession(sess.id, sess.tenant, solver, sess.opts, sess.createdAt)
-	replaced, evicted, err := s.reg.putReplacing(nsess, sess, s.cfg.Quotas)
+	if s.cfg.Store != nil {
+		nsess.persisted, nsess.durable = true, make(chan struct{})
+		defer close(nsess.durable)
+	}
+	replaced, err := s.reg.putReplacing(nsess, sess, s.cfg.Quotas)
 	if err != nil {
 		releaseSession(nsess)
 		if errors.Is(err, errReplacedMeanwhile) {
@@ -869,18 +848,11 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.retireSession(replaced)
-	for _, victim := range evicted {
-		s.met.evictions.Add(1)
-		releaseSession(victim)
-	}
 	if s.cfg.Store != nil {
 		rec := CorpusRecord{
 			ID:             nsess.id,
-			Tenant:         nsess.tenant,
 			Generation:     nsess.version,
 			BaseGeneration: sess.version,
-			CreatedAt:      nsess.createdAt,
-			Options:        NewOptionsDoc(nsess.opts),
 			Cells:          req.Cells,
 			Entries:        nsess.stats.Entries,
 		}
@@ -892,10 +864,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			// to survive a restart is not accepted. Roll back to what the
 			// disk guarantees.
 			s.met.storeErrors.Add(1)
-			if removed := s.reg.deleteIf(nsess); removed != nil {
-				s.retireSession(removed)
-				s.recoverFromStore(nsess.id)
-			}
+			s.rollback(nsess)
 			s.fail(w, http.StatusInternalServerError, "persist delta: %v", perr)
 			return
 		}
@@ -1081,7 +1050,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	resp := HealthResponse{
 		Status:        "ok",
 		Sessions:      s.reg.len(),
-		Corpora:       s.corporaCount(),
+		Corpora:       s.reg.corpora(),
 		UptimeSeconds: s.met.Uptime().Seconds(),
 		GoVersion:     goVersion,
 		BuildVersion:  modVersion,

@@ -19,30 +19,32 @@ import (
 )
 
 // Store is the corpus persistence layer of the serving tier: an
-// append-on-upload snapshot store under one data directory. Every uploaded
-// corpus is written as a versioned record (the MatrixDoc plus its session
-// metadata) and tracked in a manifest, so a restarted daemon restores its
-// session registry exactly — same corpora, same owners, same upload
-// generations. Generations matter beyond bookkeeping: result-cache keys and
-// cluster span identities embed them, so continuing the counter across
-// restarts is what keeps a post-restart re-upload from ever aliasing a
-// pre-restart result.
+// append-on-upload record store under one data directory. It only
+// persists; the serving registry is the daemon's corpus catalog and reads
+// the manifest once, at boot (Catalog). Every uploaded corpus is written
+// as a versioned snapshot record (the MatrixDoc plus its session metadata),
+// every PATCH as a delta record chained onto the generation it mutated,
+// and both are tracked in a manifest, so a restarted daemon restores its
+// catalog exactly — same corpora, same owners, same upload generations.
+// Generations matter beyond bookkeeping: result-cache keys and cluster span
+// identities embed them, so continuing the counter across restarts is what
+// keeps a post-restart re-upload from ever aliasing a pre-restart result.
 //
 // Layout under the data directory:
 //
 //	manifest.json            per corpus ID: live generation, owner, entry
 //	                         count and listing metadata, plus the last
 //	                         generation ever assigned and delete tombstones
-//	corpora/<name>.g<N>.bin  one snapshot record per (corpus, generation),
-//	                         in the binary columnar codec (internal/codec)
-//	corpora/<name>.g<N>.json one delta record (mutation cells chained on an
-//	                         earlier generation) per PATCH
+//	corpora/<name>.g<N>.bin  one record per (corpus, generation), a codec
+//	                         envelope (internal/codec): a snapshot record
+//	                         for an upload, a delta envelope for a PATCH
 //
 // Records are written to a temp file and renamed into place, and the
 // manifest is rewritten the same way, so a crash mid-upload leaves either
 // the previous corpus generation or the new one — never a torn record. A
-// background compactor deletes records superseded by a newer generation or
-// by a delete; until it runs they are dead weight on disk, never served.
+// background compactor folds long delta chains into snapshots and deletes
+// records superseded by a newer generation or by a delete; until it runs
+// they are dead weight on disk, never served.
 //
 // A Store is safe for concurrent use.
 type Store struct {
@@ -67,11 +69,10 @@ type manifest struct {
 	// from it so a re-created ID continues its sequence.
 	Generations map[string]int `json:"generations"`
 	// Owners maps each live corpus ID to its owning tenant (absent =
-	// public). Ownership must outlive the in-memory session: an LRU-evicted
-	// corpus keeps its record, so its owner must keep blocking takeover.
+	// public), so ownership survives a restart.
 	Owners map[string]string `json:"owners,omitempty"`
 	// Entries maps each live corpus ID to its non-zero WTP entry count —
-	// the quota currency for corpora whose sessions are evicted.
+	// the quota currency of a restored corpus.
 	Entries map[string]int `json:"entries,omitempty"`
 	// Deleted maps corpus ID to the highest deleted generation: the
 	// tombstone that stops the raced Put of that very generation — a delete
@@ -79,9 +80,9 @@ type manifest struct {
 	// resurrecting a corpus the deleter was told is gone. Cleared when a
 	// genuinely newer generation goes live.
 	Deleted map[string]int `json:"deleted,omitempty"`
-	// Meta holds each live corpus's listing-sized metadata, so listing
-	// evicted corpora never reads their record files (whose matrices can be
-	// as large as the upload bound).
+	// Meta holds each live corpus's listing-sized metadata, so a restarted
+	// daemon lists its corpora without reading their record files (whose
+	// matrices can be as large as the upload bound).
 	Meta map[string]corpusMeta `json:"meta,omitempty"`
 	// Bases maps a live corpus whose head record is a delta to the
 	// generation of the snapshot its chain bottoms out on. Records between
@@ -203,7 +204,7 @@ func (s *Store) Put(rec CorpusRecord) error {
 	if err != nil {
 		return fmt.Errorf("store: encode %q: %w", rec.ID, err)
 	}
-	if err := writeAtomic(s.recordPath(rec.ID, rec.Generation, binExt), buf); err != nil {
+	if err := writeAtomic(s.recordPath(rec.ID, rec.Generation), buf); err != nil {
 		return fmt.Errorf("store: write %q: %w", rec.ID, err)
 	}
 	s.mu.Lock()
@@ -250,22 +251,16 @@ func (s *Store) Put(rec CorpusRecord) error {
 // O(1)-ish.
 const defaultFoldAt = 16
 
-// SetDeltaFold overrides the delta-chain length that triggers compaction
-// folding (the -delta-fold daemon flag); n < 1 keeps the default.
-func (s *Store) SetDeltaFold(n int) {
-	if n >= 1 {
-		s.mu.Lock() // the compactor reads it under mu
-		s.foldAt = n
-		s.mu.Unlock()
-	}
-}
-
 // PutDelta durably records one corpus mutation as a generation-chained
 // delta: the cells applied on top of the record at rec.BaseGeneration,
-// without re-writing the matrix. Reads materialize the chain transparently;
-// the background compactor folds chains past the fold threshold back into
-// snapshots. Same durability contract as Put: on return the mutation
-// survives a crash.
+// without re-writing the matrix. The record is the codec delta envelope a
+// binary PATCH body uses, with the base and new generations in its
+// FromVersion and ToVersion; tenant, options and creation time are not
+// written, because a PATCH never changes them and the chain's snapshot
+// holds them. Only Entries goes to the manifest. Reads materialize the
+// chain transparently; the background compactor folds chains past the fold
+// threshold back into snapshots. Same durability contract as Put: on return
+// the mutation survives a crash.
 func (s *Store) PutDelta(rec CorpusRecord) error {
 	if !rec.isDelta() || len(rec.Cells) == 0 {
 		return fmt.Errorf("store: record %q is not a delta", rec.ID)
@@ -274,31 +269,30 @@ func (s *Store) PutDelta(rec CorpusRecord) error {
 		return fmt.Errorf("store: delta %q generation %d does not follow its base %d",
 			rec.ID, rec.Generation, rec.BaseGeneration)
 	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode delta %q: %w", rec.ID, err)
-	}
-	if err := writeAtomic(s.recordPath(rec.ID, rec.Generation, jsonExt), buf); err != nil {
+	d := codec.DeltaFromCells(rec.ID, 0, rec.Cells)
+	d.FromVersion, d.ToVersion = uint64(rec.BaseGeneration), uint64(rec.Generation)
+	if err := writeAtomic(s.recordPath(rec.ID, rec.Generation), codec.EncodeDelta(d)); err != nil {
 		return fmt.Errorf("store: write delta %q: %w", rec.ID, err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Same advance-only rules as Put — and the base must still be the live
-	// generation: a delta chained on a superseded or deleted base describes
-	// a corpus state that no longer exists and must not be installed.
+	// Same advance-only rules as Put: a delta whose generation a newer
+	// persist or a delete already passed is dead on arrival, not an error
+	// (compaction reclaims its record). Otherwise the base must be the live
+	// generation — a chain can only extend what the disk holds.
+	if rec.Generation <= s.man.Live[rec.ID] || rec.Generation <= s.man.Deleted[rec.ID] {
+		return nil
+	}
 	if s.man.Live[rec.ID] != rec.BaseGeneration {
 		return fmt.Errorf("store: delta %q bases on generation %d, live is %d",
 			rec.ID, rec.BaseGeneration, s.man.Live[rec.ID])
 	}
 	next := s.man.clone()
-	if rec.Generation > next.Live[rec.ID] && rec.Generation > next.Deleted[rec.ID] {
-		if _, chained := next.Bases[rec.ID]; !chained {
-			next.Bases[rec.ID] = rec.BaseGeneration // chain root: the snapshot we extend
-		}
-		next.Live[rec.ID] = rec.Generation
-		next.Entries[rec.ID] = rec.Entries
-		delete(next.Deleted, rec.ID)
+	if _, chained := next.Bases[rec.ID]; !chained {
+		next.Bases[rec.ID] = rec.BaseGeneration // chain root: the snapshot we extend
 	}
+	next.Live[rec.ID] = rec.Generation
+	next.Entries[rec.ID] = rec.Entries
 	if rec.Generation > next.Generations[rec.ID] {
 		next.Generations[rec.ID] = rec.Generation
 	}
@@ -312,7 +306,9 @@ func (s *Store) PutDelta(rec CorpusRecord) error {
 
 // materialize resolves a record into a full snapshot: a plain record passes
 // through, a delta record walks its base chain down to the snapshot and
-// replays every cell batch in order onto the matrix doc.
+// replays every cell batch in order onto the matrix. Tenant, options and
+// creation time come from the snapshot, the entry count from the folded
+// matrix.
 func (s *Store) materialize(rec CorpusRecord) (CorpusRecord, error) {
 	if !rec.isDelta() {
 		return rec, nil
@@ -339,22 +335,19 @@ func (s *Store) materialize(rec CorpusRecord) (CorpusRecord, error) {
 	if rec.Matrix == nil {
 		return CorpusRecord{}, fmt.Errorf("store: delta chain of %q bottoms out without a matrix", head.ID)
 	}
-	doc, err := foldCells(rec.Matrix, batches)
+	w, err := foldCells(rec.Matrix, batches)
 	if err != nil {
 		return CorpusRecord{}, fmt.Errorf("store: fold chain of %q: %w", head.ID, err)
 	}
-	head.Matrix = doc
-	head.Cells = nil
-	head.BaseGeneration = 0
-	if head.CreatedAt.IsZero() {
-		head.CreatedAt = rec.CreatedAt
-	}
-	return head, nil
+	rec.Generation = head.Generation
+	rec.Matrix = bundling.NewMatrixDoc(w)
+	rec.Entries = w.Entries()
+	return rec, nil
 }
 
 // foldCells replays delta batches (oldest last in the slice — the chain is
-// walked head-first) onto a snapshot matrix doc, producing the folded doc.
-func foldCells(base *bundling.MatrixDoc, batches [][]bundling.DeltaCell) (*bundling.MatrixDoc, error) {
+// walked head-first) onto a snapshot matrix doc, producing the folded matrix.
+func foldCells(base *bundling.MatrixDoc, batches [][]bundling.DeltaCell) (*bundling.Matrix, error) {
 	w, err := base.Matrix()
 	if err != nil {
 		return nil, err
@@ -371,13 +364,12 @@ func foldCells(base *bundling.MatrixDoc, batches [][]bundling.DeltaCell) (*bundl
 			}
 		}
 	}
-	return bundling.NewMatrixDoc(w), nil
+	return w, nil
 }
 
-// LiveRecord loads the live record of one corpus ID, if any — the recovery
-// source when a failed persist forces the serving layer to fall back to
-// the generation the disk still guarantees. A delta chain is materialized
-// into the full snapshot it describes.
+// LiveRecord loads the live record of one corpus ID, if any — the source of
+// a lazy reload. A delta chain is materialized into the full snapshot it
+// describes.
 func (s *Store) LiveRecord(id string) (CorpusRecord, bool) {
 	s.mu.Lock()
 	gen, ok := s.man.Live[id]
@@ -399,39 +391,36 @@ func (s *Store) LiveRecord(id string) (CorpusRecord, bool) {
 	return CorpusRecord{}, false
 }
 
-// ListLive renders a listing entry for every live (persisted, non-deleted)
-// corpus the tenant may see — its own plus public ones; with all set, every
-// corpus. Built from the manifest alone: the listing's reach past the
-// in-memory registry never reads record files (whose matrices can be as
-// large as the upload bound). Stripe and total-WTP figures are unknown
-// until a corpus is re-indexed and stay zero.
-func (s *Store) ListLive(tenant string, all bool) []CorpusInfo {
+// Catalog snapshots the manifest: the listing metadata of every live
+// (persisted, non-deleted) corpus, keyed by ID, and the last upload
+// generation ever assigned per ID, deleted IDs included. The serving
+// registry fills its catalog from it at boot, and rolls an entry back to it
+// after a failed persist, without opening a record file (whose matrices can
+// be as large as the upload bound). Stripe and total-WTP figures are
+// unknown until a corpus is re-indexed and stay zero.
+func (s *Store) Catalog() (live map[string]CorpusInfo, generations map[string]int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]CorpusInfo, 0, len(s.man.Live))
+	live = make(map[string]CorpusInfo, len(s.man.Live))
 	for id, gen := range s.man.Live {
-		owner := s.man.Owners[id]
-		if !all && owner != "" && owner != tenant {
-			continue
-		}
 		meta := s.man.Meta[id]
-		out = append(out, CorpusInfo{
+		live[id] = CorpusInfo{
 			ID:        id,
 			Version:   gen,
-			Tenant:    owner,
+			Tenant:    s.man.Owners[id],
 			Consumers: meta.Consumers,
 			Items:     meta.Items,
 			Entries:   s.man.Entries[id],
 			Options:   meta.Options,
 			CreatedAt: meta.CreatedAt,
-		})
+		}
 	}
-	return out
+	return live, maps.Clone(s.man.Generations)
 }
 
 // Delete durably removes a corpus from the manifest (its record files are
 // reclaimed by compaction) — but only while its live generation is still at
-// most gen, the generation the caller evicted. A concurrent re-upload that
+// most gen, the generation the caller deleted. A concurrent re-upload that
 // already persisted a newer generation wins: its durably-acknowledged
 // corpus must never be un-persisted by a delete that raced it. The ID's
 // generation counter is retained so a later re-upload continues the
@@ -452,7 +441,7 @@ func (s *Store) Delete(id string, gen int) error {
 	delete(next.Meta, id)
 	delete(next.Bases, id)
 	// Tombstone through gen even when no live entry exists yet: the
-	// evicted session's Put may still be in flight, and landing after this
+	// deleted session's Put may still be in flight, and landing after this
 	// delete must not resurrect the generation the caller was told is
 	// gone. Raising the generation counter alongside keeps post-restart
 	// uploads sequencing past the tombstone.
@@ -466,31 +455,6 @@ func (s *Store) Delete(id string, gen int) error {
 	s.man = next
 	s.kickCompact()
 	return nil
-}
-
-// LiveInfo reports the owning tenant, live generation and entry count of a
-// live (persisted, non-deleted) corpus; ok is false when the ID has no live
-// record. The registry's install gate consults the owner so an LRU-evicted
-// corpus still blocks takeover by another tenant.
-func (s *Store) LiveInfo(id string) (tenant string, gen, entries int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	gen, ok = s.man.Live[id]
-	if !ok {
-		return "", 0, 0, false
-	}
-	return s.man.Owners[id], gen, s.man.Entries[id], true
-}
-
-// forEachLive calls fn for every live corpus with its owner and entry count
-// — the registry's durable-holdings source for quota accounting, so evicted
-// corpora keep counting against their tenant.
-func (s *Store) forEachLive(fn func(id, tenant string, entries int)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for id := range s.man.Live {
-		fn(id, s.man.Owners[id], s.man.Entries[id])
-	}
 }
 
 // DiskBytes walks the data directory and sums every file's size — manifest,
@@ -510,18 +474,6 @@ func (s *Store) DiskBytes() int64 {
 	return total
 }
 
-// Generations snapshots the last-assigned upload generation per corpus ID,
-// including deleted IDs — the registry's version-counter seed.
-func (s *Store) Generations() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]int, len(s.man.Generations))
-	for id, gen := range s.man.Generations {
-		out[id] = gen
-	}
-	return out
-}
-
 // Len returns the number of live (persisted, non-deleted) corpora.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -533,39 +485,36 @@ func (s *Store) Len() int {
 
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
-// Record file extensions: snapshots are written in the binary codec, delta
-// records as JSON.
-const (
-	binExt  = ".bin"
-	jsonExt = ".json"
-)
+// binExt is the record file extension: every record is a codec envelope.
+const binExt = ".bin"
 
 // recordPath names a (corpus, generation) record file. The name keeps a
 // sanitized prefix of the ID for operator readability and appends an FNV
 // hash of the full ID so two IDs that sanitize identically cannot collide.
-func (s *Store) recordPath(id string, gen int, ext string) string {
-	return filepath.Join(s.dir, "corpora", fmt.Sprintf("%s.g%d%s", recordName(id), gen, ext))
+func (s *Store) recordPath(id string, gen int) string {
+	return filepath.Join(s.dir, "corpora", fmt.Sprintf("%s.g%d%s", recordName(id), gen, binExt))
 }
 
-// readRecord loads one (corpus, generation) record: the binary snapshot when
-// one exists (a folded chain leaves one beside its delta head), else the
-// JSON delta record.
+// readRecord loads one (corpus, generation) record, a snapshot or a delta
+// as the envelope's kind says.
 func (s *Store) readRecord(id string, gen int) (CorpusRecord, error) {
-	buf, err := os.ReadFile(s.recordPath(id, gen, binExt))
-	switch {
-	case err == nil:
+	buf, err := os.ReadFile(s.recordPath(id, gen))
+	if err != nil {
+		return CorpusRecord{}, err
+	}
+	if !codec.IsDelta(buf) {
 		return decodeRecordBinary(buf)
-	case !errors.Is(err, os.ErrNotExist):
+	}
+	d, err := codec.DecodeDelta(buf)
+	if err != nil {
 		return CorpusRecord{}, err
 	}
-	if buf, err = os.ReadFile(s.recordPath(id, gen, jsonExt)); err != nil {
-		return CorpusRecord{}, err
-	}
-	var rec CorpusRecord
-	if err := json.Unmarshal(buf, &rec); err != nil {
-		return CorpusRecord{}, err
-	}
-	return rec, nil
+	return CorpusRecord{
+		ID:             d.ID,
+		Generation:     int(d.ToVersion),
+		BaseGeneration: int(d.FromVersion),
+		Cells:          d.Cells(),
+	}, nil
 }
 
 // encodeRecordBinary lowers a corpus record to its codec envelope. Options
@@ -693,11 +642,12 @@ func (s *Store) compactor() {
 }
 
 // foldChains rewrites every live delta chain past the fold threshold as a
-// full snapshot at the head generation: the materialized record lands as a
-// binary record file under the same (corpus, generation) name — readers
-// prefer it over the delta head immediately — and the manifest's chain-root
-// entry is cleared so the next reclaim pass frees the chain links. A chain
-// that grew meanwhile simply folds again on a later pass.
+// full snapshot at the head generation: the materialized record replaces
+// the delta head in place, under the same (corpus, generation) name, so a
+// reader sees either the head delta (whose links are still retained) or the
+// snapshot. Then the manifest's chain-root entry is cleared so the next
+// reclaim pass frees the chain links. A chain that grew meanwhile simply
+// folds again on a later pass.
 func (s *Store) foldChains() {
 	type chain struct {
 		id  string
@@ -723,7 +673,7 @@ func (s *Store) foldChains() {
 		if err != nil {
 			continue
 		}
-		if writeAtomic(s.recordPath(c.id, c.gen, binExt), buf) != nil {
+		if writeAtomic(s.recordPath(c.id, c.gen), buf) != nil {
 			continue
 		}
 		s.mu.Lock()
@@ -735,10 +685,6 @@ func (s *Store) foldChains() {
 			}
 		}
 		s.mu.Unlock()
-		// The delta head at the same generation is superseded by the binary
-		// snapshot (readRecord prefers .bin); drop it directly — the reclaim
-		// scan compares generations and would never touch an equal one.
-		_ = os.Remove(s.recordPath(c.id, c.gen, jsonExt))
 	}
 }
 
@@ -798,15 +744,11 @@ func (s *Store) compactNow() error {
 }
 
 // parseRecordName splits a record file name into its ID key (the sanitized
-// prefix plus hash, i.e. recordName(id)) and generation. Both record formats
-// parse, so compaction reclaims superseded delta records exactly like
-// snapshots.
+// prefix plus hash, i.e. recordName(id)) and generation.
 func parseRecordName(name string) (key string, gen int, ok bool) {
 	base, found := strings.CutSuffix(name, binExt)
 	if !found {
-		if base, found = strings.CutSuffix(name, jsonExt); !found {
-			return "", 0, false
-		}
+		return "", 0, false
 	}
 	i := strings.LastIndex(base, ".g")
 	if i < 0 {

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,7 +96,7 @@ func TestStoreGenerationsSurviveDelete(t *testing.T) {
 	}
 	// The generation counter must survive the delete, so a re-created ID
 	// continues its sequence.
-	if gens := st2.Generations(); gens["c"] != 3 {
+	if _, gens := st2.Catalog(); gens["c"] != 3 {
 		t.Errorf("generations[c] = %d, want 3", gens["c"])
 	}
 }
@@ -122,8 +121,8 @@ func TestStoreDeleteGenerationAware(t *testing.T) {
 	if rec, ok := st.LiveRecord("c"); !ok || rec.Generation != 2 {
 		t.Fatalf("stale delete removed the newer generation: %+v, %v", rec, ok)
 	}
-	if owner, _, _, ok := st.LiveInfo("c"); !ok || owner != "alice" {
-		t.Errorf("LiveInfo owner = %q, %v; want alice", owner, ok)
+	if live, _ := st.Catalog(); live["c"].Tenant != "alice" {
+		t.Errorf("catalog owner = %q; want alice", live["c"].Tenant)
 	}
 	if err := st.Delete("c", 2); err != nil {
 		t.Fatalf("delete: %v", err)
@@ -131,8 +130,8 @@ func TestStoreDeleteGenerationAware(t *testing.T) {
 	if _, ok := st.LiveRecord("c"); ok {
 		t.Error("corpus live after matching-generation delete")
 	}
-	if _, _, _, ok := st.LiveInfo("c"); ok {
-		t.Error("deleted corpus still has an owner")
+	if live, _ := st.Catalog(); len(live) != 0 {
+		t.Errorf("deleted corpus still in the catalog: %+v", live)
 	}
 }
 
@@ -156,7 +155,7 @@ func TestStoreDeleteTombstonesInFlightPut(t *testing.T) {
 	}
 	// A genuinely newer upload re-claims the ID and clears the tombstone;
 	// the generation counter sequences past the tombstone.
-	if gens := st.Generations(); gens["c"] != 1 {
+	if _, gens := st.Catalog(); gens["c"] != 1 {
 		t.Fatalf("generations[c] = %d, want 1 (tombstone raises the counter)", gens["c"])
 	}
 	if err := st.Put(CorpusRecord{ID: "c", Generation: 2, Matrix: testDoc(2)}); err != nil {
@@ -226,8 +225,8 @@ func TestStorePutLiveMonotonic(t *testing.T) {
 
 func TestStoreRecordNameCollisions(t *testing.T) {
 	// Two IDs that sanitize identically must not share a record path.
-	a := (&Store{dir: "d"}).recordPath("a/b", 1, binExt)
-	b := (&Store{dir: "d"}).recordPath("a:b", 1, binExt)
+	a := (&Store{dir: "d"}).recordPath("a/b", 1)
+	b := (&Store{dir: "d"}).recordPath("a:b", 1)
 	if a == b {
 		t.Fatalf("record paths collide: %s", a)
 	}
@@ -236,104 +235,11 @@ func TestStoreRecordNameCollisions(t *testing.T) {
 	if strings.ContainsAny(name, "/\\: ") {
 		t.Errorf("unsafe record name %q", name)
 	}
-	key, gen, ok := parseRecordName(recordName("a/b") + ".g7.json")
-	if !ok || gen != 7 || key != recordName("a/b") {
-		t.Errorf("parseRecordName = %q %d %v", key, gen, ok)
+	if _, _, ok := parseRecordName(recordName("a/b") + ".g7.json"); ok {
+		t.Error("parseRecordName took a .json file for a record")
 	}
-	key, gen, ok = parseRecordName(recordName("a/b") + ".g7.bin")
+	key, gen, ok := parseRecordName(recordName("a/b") + ".g7.bin")
 	if !ok || gen != 7 || key != recordName("a/b") {
 		t.Errorf("parseRecordName(bin) = %q %d %v", key, gen, ok)
-	}
-}
-
-// TestStoreLegacyJSONRecords pins backward compatibility with data
-// directories written before the binary codec: their JSON records read back
-// unchanged, coexist with binary records written since, and compaction
-// reclaims a JSON generation once a binary one supersedes it.
-func TestStoreLegacyJSONRecords(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := CorpusRecord{
-		ID:         "legacy",
-		Tenant:     "alice",
-		Generation: 1,
-		CreatedAt:  time.Now().UTC().Truncate(time.Second),
-		Options:    OptionsDoc{Strategy: "mixed", Theta: -0.05},
-		Matrix:     testDoc(9),
-		Entries:    2,
-	}
-	if err := st.Put(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Transcribe the record to the pre-codec on-disk form: the same
-	// CorpusRecord as a .json file (exactly what the old store wrote).
-	binFiles, err := filepath.Glob(filepath.Join(dir, "corpora", "*"+binExt))
-	if err != nil || len(binFiles) != 1 {
-		t.Fatalf("record files = %v, %v; want one %s record", binFiles, err, binExt)
-	}
-	buf, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonFile := strings.TrimSuffix(binFiles[0], binExt) + jsonExt
-	if err := os.WriteFile(jsonFile, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(binFiles[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	// The JSON-era directory restores unchanged, and a binary record written
-	// since coexists with it.
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Put(CorpusRecord{ID: "modern", Generation: 1, Matrix: testDoc(4)}); err != nil {
-		t.Fatal(err)
-	}
-	if n := st2.Len(); n != 2 {
-		t.Fatalf("mixed dir holds %d live corpora, want 2", n)
-	}
-	if _, ok := st2.LiveRecord("modern"); !ok {
-		t.Fatal("binary record of modern did not load")
-	}
-	got, ok := st2.LiveRecord("legacy")
-	if !ok {
-		t.Fatal("JSON record of legacy did not load")
-	}
-	if got.Tenant != "alice" || got.Generation != 1 || got.Entries != 2 ||
-		got.Options.Strategy != "mixed" || got.Options.Theta != -0.05 ||
-		!got.CreatedAt.Equal(rec.CreatedAt) {
-		t.Errorf("legacy record = %+v", got)
-	}
-	if len(got.Matrix.Entries) != 2 || got.Matrix.Entries[0][2] != 9 {
-		t.Errorf("legacy matrix = %+v", got.Matrix)
-	}
-
-	// A binary re-upload supersedes the JSON generation; compaction (the
-	// synchronous pass in Close) reclaims the .json file.
-	if err := st2.Put(CorpusRecord{ID: "legacy", Tenant: "alice", Generation: 2, Matrix: testDoc(11)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if left, _ := filepath.Glob(filepath.Join(dir, "corpora", "*"+jsonExt)); len(left) != 0 {
-		t.Errorf("superseded JSON records survive compaction: %v", left)
-	}
-	st3, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st3.Close()
-	if rec, ok := st3.LiveRecord("legacy"); !ok || rec.Generation != 2 || rec.Matrix.Entries[0][2] != 11 {
-		t.Errorf("post-compaction live record = %+v, %v; want generation 2", rec, ok)
 	}
 }

@@ -78,19 +78,3 @@ var (
 	buildModVersion string
 	buildRevision   string
 )
-
-// corporaCount is the corpus count /healthz reports: live sessions plus
-// evicted-but-persisted corpora — everything a request could address.
-func (s *Server) corporaCount() int {
-	if s.cfg.Store == nil {
-		return s.reg.len()
-	}
-	ids := map[string]bool{}
-	for _, info := range s.reg.list() {
-		ids[info.ID] = true
-	}
-	for _, info := range s.cfg.Store.ListLive("", true) {
-		ids[info.ID] = true
-	}
-	return len(ids)
-}

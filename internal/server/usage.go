@@ -30,17 +30,11 @@ func newUsageSet(topK int, window time.Duration) *usageSet {
 	return &usageSet{tenants: usage.NewMeter(cfg), corpora: usage.NewMeter(cfg)}
 }
 
-// corpusOwner resolves a corpus ID to its owning tenant, looking past the
-// in-memory registry to evicted-but-persisted corpora. ok=false when the
+// corpusOwner resolves a corpus ID to its owning tenant. ok=false when the
 // ID is unknown (e.g. metered traffic to a since-deleted corpus).
 func (s *Server) corpusOwner(id string) (owner string, ok bool) {
 	if sess, live := s.reg.peek(id); live {
 		return sess.tenant, true
-	}
-	if s.cfg.Store != nil {
-		if owner, _, _, live := s.cfg.Store.LiveInfo(id); live {
-			return owner, true
-		}
 	}
 	return "", false
 }

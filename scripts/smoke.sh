@@ -351,7 +351,7 @@ fi
 R_PATCHED=$(solve_revenue "$DADDR" smoke matching -H "Authorization: Bearer $AKEY")
 kill -TERM "$DPID"
 wait "$DPID"
-"$BIN" -addr "$DADDR" -data-dir "$DATADIR" -auth-keys "alice=$AKEY,bob=$BKEY" -quota-corpora 1 -delta-fold 8 >"$DLOG" 2>&1 &
+"$BIN" -addr "$DADDR" -data-dir "$DATADIR" -auth-keys "alice=$AKEY,bob=$BKEY" -quota-corpora 1 >"$DLOG" 2>&1 &
 DPID=$!
 PIDS="$PIDS $DPID"
 wait_healthy "http://$DADDR" "$DPID" "$DLOG"
