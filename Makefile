@@ -25,10 +25,12 @@ test:
 # result cache, the cluster coordinator's scatter/gather fan-out) and the sinks every
 # request record feeds (the trace recorder and ring, the usage meters).
 # The second line repeats the race between a session's concurrent first
-# solves, which publish its round-one memo.
+# solves, which publish its round-one memo; the third, solves of a lineage's
+# generations sharing its later-round memo.
 race:
 	$(GO) test -race ./internal/config/ ./internal/pricing/ ./internal/wtp/ ./internal/codec/ ./internal/server/ ./internal/cluster/ ./internal/obs/ ./internal/usage/ ./client/
 	$(GO) test -race -count=10 -run TestRoundMemoConcurrentFirstSolves ./internal/config/
+	$(GO) test -race -count=5 -run 'TestPairMemo' ./internal/config/
 
 # The benchmark runner is a module of its own (bench/go.mod), so ./... in
 # the targets above never compiles it; vet and self-test it explicitly so an

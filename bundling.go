@@ -308,8 +308,11 @@ type DeltaCell = wtp.Cell
 // incremental: the matrix is patched copy-on-write, only the index stripes
 // holding mutated consumers rebuild, and only the mutated items' priced
 // singleton prototypes re-price. The new session's first Optimal2, matching
-// or greedy solve likewise prices only the item pairs the delta touched and
-// re-prices the receiver's surviving pairs. The new session's
+// or greedy solve likewise prices only the item pairs the delta touched,
+// serving the receiver's other surviving pairs from its round-one memo, and
+// every session derived from one NewSolver shares a memo of later-round
+// verdicts, so a solve re-prices only the candidates whose bundles a delta
+// touched since they were last priced. The new session's
 // Stats().Version advances by exactly one, which is what invalidates
 // version-keyed result caches.
 func (s *Solver) ApplyDelta(cells []DeltaCell) (*Solver, error) {

@@ -19,18 +19,24 @@ import (
 // delta changes only the touched items' singletons, so a pair of two
 // untouched items prices exactly as before. The derived session inherits
 // the receiver's survivors with the touched items marked stale; its first
-// pair-based solve re-prices the survivors that touch no stale item,
-// prices every pair with a stale item, and merges both back in (u, v)
-// order, so matching edges and greedy heap pushes are those of a rebuild.
-// On the 600×150 bench corpus a 4-cell delta leaves at most 4 × 149 pairs to
-// price afresh instead of 11,115 (plus the kept survivors: none under pure
-// bundling, about 3,800 of 4,020 under mixed). If the receiver was never
-// solved, it passes on
-// its own inherited memo with the union of both deltas' items marked; the
-// memo is dropped (the first solve builds it afresh) once more than half
-// the items are stale, or when the receiver has none. The memo costs 8
-// bytes per surviving pair (32 KB for the 4,020 survivors of the mixed
-// bench corpus) and is shared read-only between generations.
+// pair-based solve serves the survivors that touch no stale item from
+// their stored verdicts, prices every pair with a stale item, and merges
+// both back in (u, v) order, so matching edges and greedy heap pushes are
+// those of a rebuild. On the 600×150 bench corpus a 4-cell delta leaves at
+// most 4 × 149 pairs to price instead of 11,115. If the receiver was never
+// solved, it passes on its own inherited memo with the union of both
+// deltas' items marked; the memo is dropped (the first solve builds it
+// afresh) once more than half the items are stale, or when the receiver
+// has none. The memo is shared read-only between generations.
+//
+// The derived session joins the receiver's lineage, and with it the
+// later-round memo: each touched item's re-priced prototype gets a new
+// identity, so every merge tree holding a touched item does too, and its
+// stale verdicts are never looked up again, while every other tree keeps
+// its identity and its verdicts. Once half of the lineage's 2^32
+// identities are spent, the derived session starts a new lineage instead,
+// with a fresh memo, new identities for all its prototypes and no
+// round-one memo.
 //
 // exec follows the NewSolverOn contract: nil selects the new local shard; a
 // distributed caller passes the executor wired to the patched worker spans.
@@ -58,9 +64,14 @@ func (s *Solver) ApplyDelta(cells []wtp.Cell, exec StripeExecutor) (*Solver, err
 		params: s.params,
 		pr:     s.pr,
 		k:      s.k,
+		lin:    s.lin,
 	}
 	if ns.exec == nil {
 		ns.exec = localExec{nsh}
+	}
+	renew := s.lin.spent()
+	if renew {
+		ns.lin = newLineage(s.params)
 	}
 	touched := make(map[int]bool, len(cells))
 	for _, c := range cells {
@@ -72,6 +83,18 @@ func (s *Solver) ApplyDelta(cells []wtp.Cell, exec StripeExecutor) (*Solver, err
 	defer e.release()
 	for i := range touched {
 		ns.protos[i] = e.buildSingleton(e.ctx, i)
+	}
+	if renew {
+		// No identity carries over into the new lineage: every inherited
+		// prototype gets a new one, and the first solve builds round one.
+		for i, p := range ns.protos {
+			if !touched[i] {
+				c := *p
+				c.id = ns.lin.newIDs(1)
+				ns.protos[i] = &c
+			}
+		}
+		return ns, nil
 	}
 	ns.round1.Store(s.round1.Load().derive(cells, len(ns.protos)))
 	return ns, nil

@@ -85,7 +85,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		a.dead = true
 		bn.dead = true
 		alive--
-		merged := e.merge(a, bn, top.q)
+		merged := e.merge(a, bn, top)
 		newIdx := len(nodes)
 		nodes = append(nodes, merged)
 		// The gain is measured in seller utility; the trace reports the
@@ -107,7 +107,7 @@ func (e *engine) greedy() (*Configuration, error) {
 			}
 			jobs = append(jobs, pairJob{u: i, v: newIdx})
 		}
-		for _, r := range e.evalPairs(nodes, jobs, runToEnd) {
+		for _, r := range e.evalPairs(nodes, jobs, runToEnd, e.laterMemo(runToEnd)) {
 			heap.Push(h, r)
 		}
 	}

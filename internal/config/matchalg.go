@@ -1,11 +1,12 @@
 package config
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"bundling/internal/matching"
 	"bundling/internal/obs"
-	"bundling/internal/pricing"
 	"bundling/internal/wtp"
 )
 
@@ -61,7 +62,7 @@ func (e *engine) matching() (*Configuration, error) {
 					}
 				}
 			}
-			cands = e.evalPairs(nodes, jobs, false)
+			cands = e.evalPairs(nodes, jobs, false, e.laterMemo(false))
 			if err := e.canceled(); err != nil {
 				// A done context truncates evalPairs; an empty batch here
 				// means "aborted", not "converged" — it must not end the
@@ -81,15 +82,12 @@ func (e *engine) matching() (*Configuration, error) {
 			return nil, err
 		}
 		// Collapse matched pairs, building each merged node from its
-		// candidate's quote. Matched-pair lookup goes through the candidate
-		// list since parallel edges cannot occur here.
+		// candidate. The candidates are in (u, v) order — firstRound's
+		// contract, and the later-round jobs run i < j — so a matched
+		// pair's candidate is found by binary search.
 		mergedAny := false
 		next := nodes[:0:0]
 		taken := make([]bool, len(nodes))
-		byPair := make(map[[2]int]pricing.UtilityQuote, len(cands))
-		for _, c := range cands {
-			byPair[[2]int{c.u, c.v}] = c.q
-		}
 		for i, n := range nodes {
 			n.fresh = false
 			if taken[i] {
@@ -104,7 +102,10 @@ func (e *engine) matching() (*Configuration, error) {
 			if lo > hi {
 				lo, hi = hi, lo
 			}
-			m := e.merge(nodes[lo], nodes[hi], byPair[[2]int{lo, hi}])
+			k, _ := slices.BinarySearchFunc(cands, pairJob{u: lo, v: hi}, func(c pairResult, j pairJob) int {
+				return cmp.Or(cmp.Compare(c.u, j.u), cmp.Compare(c.v, j.v))
+			})
+			m := e.merge(nodes[lo], nodes[hi], cands[k])
 			taken[i], taken[j] = true, true
 			next = append(next, m)
 			total += m.revenue - nodes[lo].revenue - nodes[hi].revenue

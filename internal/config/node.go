@@ -46,6 +46,9 @@ type node struct {
 	// comps are the retained sub-bundles (mixed only), flattened over the
 	// node's merge history; they form the X'_I output.
 	comps []Bundle
+	// id is the node's identity within its session lineage: equal
+	// identities mean equal content (see lineage).
+	id    ident
 	fresh bool // formed in the most recent iteration
 	dead  bool // merged away (greedy bookkeeping)
 }
@@ -298,18 +301,20 @@ func (e *engine) evalMerge(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.
 	return pricing.UtilityQuote{Quote: bundleQuote(mq)}, gain, true
 }
 
-// merge builds the merged node of a and b from the quote evalMerge priced
-// it at, for a merge an algorithm takes. The union is re-derived through
-// the stripe executor and, under mixed bundling, every consumer re-resolves
-// at the quoted price; pricing is deterministic, so the node is exactly the
-// candidate evalMerge priced.
-func (e *engine) merge(a, b *node, q pricing.UtilityQuote) *node {
+// merge builds the merged node of a and b from candidate r, for a merge an
+// algorithm takes: the node takes r's identity, and its pricing is r's
+// quote. The union is re-derived through the stripe executor and, under
+// mixed bundling, every consumer re-resolves at the quoted price; pricing
+// is deterministic, so the node is exactly the candidate evalMerge priced.
+func (e *engine) merge(a, b *node, r pairResult) *node {
 	e.built++
 	sc := e.ctx.sc
 	sc.items = mergeItemsInto(sc.items, a.items, b.items)
 	sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
 	n := materialize(sc)
+	n.id = r.id
 	n.unitC = e.objective(n.items).UnitCost
+	q := r.q
 	if e.params.Strategy == Pure {
 		n.quote = q.Quote
 		n.revenue, n.profit, n.surplus, n.util = q.Revenue, q.Profit, q.Surplus, q.Utility

@@ -27,13 +27,15 @@ type pairJob struct {
 	u, v int
 }
 
-// pairResult is a priced candidate merge: the quote evalMerge priced it at
-// and its utility gain. It carries no node; merge builds one from the quote
-// when an algorithm takes the pair.
+// pairResult is a priced candidate merge: the quote evalMerge priced it at,
+// its utility gain and the identity the merged node takes (see lineage).
+// It carries no node; merge builds one from the quote when an algorithm
+// takes the pair.
 type pairResult struct {
 	u, v int
 	q    pricing.UtilityQuote
 	gain float64
+	id   ident
 }
 
 // workerCtx is one evaluation thread's private scratch: the merge buffers
@@ -44,43 +46,100 @@ type workerCtx struct {
 	psc *pricing.Scratch
 }
 
-// evalPairs prices every candidate pair concurrently. Work is distributed
-// in contiguous chunks claimed off an atomic cursor, so workers synchronize
-// a handful of times per batch instead of once per job. Results are keyed
-// by job index, making the output deterministic regardless of worker count.
+// evalPairs returns the candidates among jobs, in job order. A job whose
+// verdict the memo m (nil for none) holds is served from it; the rest are
+// priced concurrently and handed to m's store. Work is distributed in
+// contiguous chunks claimed off an atomic cursor, so workers synchronize a
+// handful of times per batch instead of once per job. Results are keyed by
+// job index, making the output deterministic regardless of worker count.
 // Infeasible candidates are dropped; non-gaining ones too, unless keepAll
-// (the greedy run-to-end variant needs every mergeable pair). The
-// price_candidates span records the pairs priced and the candidates kept
-// (gaining).
-func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairResult {
+// (the greedy run-to-end variant needs every mergeable pair). Each priced
+// candidate gets a new identity for the node it would merge into, except
+// under keepAll: the run-to-end variant bypasses the memos, so its nodes
+// need none. The price_candidates span records the pass's pairs (served plus priced), the
+// verdicts the memo served (reused) and the candidates kept (gaining).
+func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool, m verdicts) []pairResult {
 	if len(jobs) == 0 {
 		return nil
 	}
 	_, sp := obs.StartSpan(e.reqCtx, "price_candidates")
 	sp.Tag("pairs", len(jobs))
 	defer sp.End()
-	workers := e.params.parallelism()
-	if workers > len(jobs) {
-		workers = len(jobs)
+	res := make([]pairResult, len(jobs))
+	st := make([]jobState, len(jobs))
+	reused := 0
+	if m != nil {
+		reused = m.lookup(nodes, jobs, res, st)
 	}
-	if workers <= 1 || len(jobs) < minParallelJobs {
-		out := make([]pairResult, 0, len(jobs))
-		for _, j := range jobs {
-			if e.reqCtx.Err() != nil {
-				// Abort the batch; the caller notices at its next canceled()
-				// check, so partial results are never acted on.
-				return out
-			}
-			if q, gain, ok := e.evalMerge(e.ctx, nodes[j.u], nodes[j.v], keepAll); ok {
-				out = append(out, pairResult{u: j.u, v: j.v, q: q, gain: gain})
+	sp.Tag("reused", reused)
+	e.price(nodes, jobs, keepAll, res, st, len(jobs)-reused)
+	if !keepAll {
+		e.newIDs(res, st)
+	}
+	if m != nil {
+		// A canceled pass leaves jobs unpriced; store skips them.
+		m.store(nodes, jobs, res, st)
+	}
+	out := res[:0]
+	for i, r := range res {
+		if st[i].kept() {
+			out = append(out, r)
+		}
+	}
+	sp.Tag("gaining", len(out))
+	return out
+}
+
+// newIDs gives each candidate the pass priced a new identity from the
+// session's lineage, or leaves it none once the lineage has run out.
+func (e *engine) newIDs(res []pairResult, st []jobState) {
+	fresh := 0
+	for _, s := range st {
+		if s == accepted {
+			fresh++
+		}
+	}
+	if id := e.s.lin.newIDs(fresh); id != 0 {
+		for i, s := range st {
+			if s == accepted {
+				res[i].id = id
+				id++
 			}
 		}
-		sp.Tag("gaining", len(out))
-		return out
+	}
+}
+
+// price prices the jobs no memo served (st unpriced; misses of them),
+// setting st to accepted or rejected and res for a candidate. A done
+// request context stops it early, leaving the rest unpriced; the caller's
+// next canceled() check discards the partial pass.
+func (e *engine) price(nodes []*node, jobs []pairJob, keepAll bool, res []pairResult, st []jobState, misses int) {
+	one := func(ctx *workerCtx, idx int) {
+		j := jobs[idx]
+		if q, gain, ok := e.evalMerge(ctx, nodes[j.u], nodes[j.v], keepAll); ok {
+			res[idx] = pairResult{u: j.u, v: j.v, q: q, gain: gain}
+			st[idx] = accepted
+		} else {
+			st[idx] = rejected
+		}
+	}
+	workers := e.params.parallelism()
+	if workers > misses {
+		workers = misses
+	}
+	if workers <= 1 || misses < minParallelJobs {
+		for idx := range jobs {
+			if st[idx] != unpriced {
+				continue
+			}
+			if e.reqCtx.Err() != nil {
+				return
+			}
+			one(e.ctx, idx)
+		}
+		return
 	}
 	ws := e.workerPool(workers)
-	results := make([]pairResult, len(jobs))
-	kept := make([]bool, len(jobs))
 	chunk := len(jobs)/(workers*8) + 1
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -90,8 +149,6 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 			defer wg.Done()
 			for {
 				if e.reqCtx.Err() != nil {
-					// Stop claiming chunks; the caller's next canceled()
-					// check discards the partial batch.
 					return
 				}
 				end := int(cursor.Add(int64(chunk)))
@@ -103,22 +160,12 @@ func (e *engine) evalPairs(nodes []*node, jobs []pairJob, keepAll bool) []pairRe
 					end = len(jobs)
 				}
 				for idx := start; idx < end; idx++ {
-					j := jobs[idx]
-					if q, gain, ok := e.evalMerge(ctx, nodes[j.u], nodes[j.v], keepAll); ok {
-						results[idx] = pairResult{u: j.u, v: j.v, q: q, gain: gain}
-						kept[idx] = true
+					if st[idx] == unpriced {
+						one(ctx, idx)
 					}
 				}
 			}
 		}(ws[w])
 	}
 	wg.Wait()
-	out := results[:0]
-	for i, r := range results {
-		if kept[i] {
-			out = append(out, r)
-		}
-	}
-	sp.Tag("gaining", len(out))
-	return out
 }

@@ -14,14 +14,7 @@ import (
 // first posting by half.
 func benchCorpus(t testing.TB) (*wtp.Matrix, []wtp.Cell) {
 	t.Helper()
-	ds, err := dataset.Generate(dataset.GenConfig{Users: 600, Items: 150, RatingsPerUser: 18, MinDegree: 5, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := ds.WTP(1.25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, w := benchDataset(t)
 	var cells []wtp.Cell
 	for k := 0; k < 4; k++ {
 		item := k * ds.Items / 4
@@ -30,6 +23,20 @@ func benchCorpus(t testing.TB) (*wtp.Matrix, []wtp.Cell) {
 		}
 	}
 	return w, cells
+}
+
+// benchDataset generates the bench-scale dataset and its WTP matrix.
+func benchDataset(t testing.TB) (*dataset.Dataset, *wtp.Matrix) {
+	t.Helper()
+	ds, err := dataset.Generate(dataset.GenConfig{Users: 600, Items: 150, RatingsPerUser: 18, MinDegree: 5, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := ds.WTP(1.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, w
 }
 
 // TestBenchScaleRevenuePins pins the bench-scale revenues of the pair-based

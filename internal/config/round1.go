@@ -7,12 +7,15 @@ import (
 
 // roundMemo records round one of the pair-based algorithms (Optimal2 and
 // Algorithms 1 and 2 all open by pricing every mergeable singleton pair):
-// the pairs whose merge passed the gain filter, in (u, v) order. Only the
-// pair indices are kept — 8 bytes a survivor — because the merged nodes
-// would pin their consumer vectors and mixed-bundling state (about 25 MB
-// for the 4,020 survivors of the 600×150 mixed bench corpus); a later run
-// re-prices the survivors instead, which yields the same nodes, since
-// pricing a pair is deterministic.
+// the pairs whose merge passed the gain filter, in (u, v) order, each with
+// its verdict — the gain and quote evalMerge priced it at and the identity
+// its merged node takes. A later run serves the survivors from the memo
+// instead of pricing them, which yields the same candidates, since pricing
+// a pair is deterministic. A survivor costs 48 bytes under mixed bundling
+// (about 190 KB for the 4,020 survivors of the 600×150 mixed bench corpus)
+// and 72 under pure; the merged nodes would pin their consumer vectors and
+// mixed-bundling state (about 25 MB), so merge builds a node only for a
+// merge a run takes.
 //
 // A memo is immutable once published on a Solver. A session's own memo has
 // a nil stale set. A memo inherited through ApplyDelta is pending: its
@@ -20,11 +23,20 @@ import (
 // a delta has touched since, whose pairs must be priced afresh.
 type roundMemo struct {
 	pairs []memoPair
-	stale []bool // per item; nil for a session's own memo
+	tails []utilTail // pure bundling: pairs' utility tails, aligned
+	stale []bool     // per item; nil for a session's own memo
 }
 
-// memoPair is one round-one survivor: singleton indices u < v.
-type memoPair struct{ u, v int32 }
+// memoPair is one round-one survivor: singleton indices u < v and the
+// pair's verdict.
+type memoPair struct {
+	u, v int32
+	id   ident
+	verdict
+}
+
+// is reports whether the survivor is the pair (u, v).
+func (p *memoPair) is(u, v int) bool { return int(p.u) == u && int(p.v) == v }
 
 // derive returns the pending memo a session derived by a delta on the given
 // items inherits: the same survivors, with the delta's items added to the
@@ -36,7 +48,7 @@ func (m *roundMemo) derive(cells []wtp.Cell, items int) *roundMemo {
 	if m == nil {
 		return nil
 	}
-	d := &roundMemo{pairs: m.pairs, stale: make([]bool, items)}
+	d := &roundMemo{pairs: m.pairs, tails: m.tails, stale: make([]bool, items)}
 	copy(d.stale, m.stale)
 	for _, c := range cells {
 		d.stale[c.Item] = true
@@ -67,10 +79,11 @@ func (m *roundMemo) staleItems() int {
 //
 //   - build: no memo, so every mergeable pair is priced and the survivors
 //     become the session's memo;
-//   - reuse: the session's own memo, so only its survivors are re-priced;
+//   - reuse: the session's own memo, so its survivors are served from it
+//     and nothing is priced;
 //   - repair: a pending memo from ApplyDelta, so the base survivors with no
-//     stale item are re-priced, every mergeable pair with a stale item is
-//     priced, and the survivors become the session's memo;
+//     stale item are served from it, every mergeable pair with a stale
+//     item is priced, and the survivors become the session's memo;
 //   - bypass: the memo does not apply — the run-to-end variant keeps
 //     non-gaining pairs, and a size cap below 2 admits no pair — so round
 //     one is priced in full and nothing is stored.
@@ -81,63 +94,108 @@ func (m *roundMemo) staleItems() int {
 func (e *engine) firstRound(nodes []*node, keepAll bool) ([]pairResult, error) {
 	memo := e.s.round1.Load()
 	var jobs []pairJob
-	path := "build"
+	var m verdicts
+	path, priced := "build", 0
 	switch {
 	case keepAll || e.k < 2:
 		path = "bypass"
-		jobs = e.pairJobs(nodes, nil)
+		jobs, priced = e.pairJobs(nodes, nil)
 	case memo == nil:
-		jobs = e.pairJobs(nodes, nil)
+		jobs, priced = e.pairJobs(nodes, nil)
 	case memo.stale == nil:
-		path = "reuse"
+		path, m = "reuse", memo
 		jobs = make([]pairJob, len(memo.pairs))
 		for i, p := range memo.pairs {
 			jobs[i] = pairJob{u: int(p.u), v: int(p.v)}
 		}
 	default:
-		path = "repair"
-		jobs = e.pairJobs(nodes, memo)
+		path, m = "repair", memo
+		jobs, priced = e.pairJobs(nodes, memo)
 	}
 	sp := obs.SpanFrom(e.reqCtx)
 	sp.Tag("round1", path)
-	sp.Tag("round1_priced", len(jobs))
-	res := e.evalPairs(nodes, jobs, keepAll)
+	sp.Tag("round1_priced", priced)
+	res := e.evalPairs(nodes, jobs, keepAll, m)
 	if err := e.canceled(); err != nil {
 		// A done context truncates evalPairs: the partial batch must
 		// neither end the run looking converged nor be stored.
 		return nil, err
 	}
 	if path == "build" || path == "repair" {
-		own := &roundMemo{pairs: make([]memoPair, len(res))}
-		for i, r := range res {
-			own.pairs[i] = memoPair{u: int32(r.u), v: int32(r.v)}
-		}
-		e.s.round1.CompareAndSwap(memo, own)
+		e.s.round1.CompareAndSwap(memo, e.newRoundMemo(res))
 	}
 	return res, nil
 }
 
-// pairJobs lists round one's candidate pairs in (u, v) order. Without a
-// memo that is every mergeable pair. With a pending memo, a pair of two
-// untouched items keeps the base verdict — a candidate exactly when it
-// survived — and a pair with a stale item is re-checked for mergeability
-// against the repaired singletons.
-func (e *engine) pairJobs(nodes []*node, memo *roundMemo) []pairJob {
-	var jobs []pairJob
+// newRoundMemo records round one's candidates as the session's memo.
+func (e *engine) newRoundMemo(res []pairResult) *roundMemo {
+	m := &roundMemo{pairs: make([]memoPair, len(res))}
+	if e.params.Strategy == Pure {
+		m.tails = make([]utilTail, len(res))
+	}
+	for i := range res {
+		v, t := verdictOf(&res[i])
+		m.pairs[i] = memoPair{u: int32(res[i].u), v: int32(res[i].v), id: res[i].id, verdict: v}
+		if m.tails != nil {
+			m.tails[i] = t
+		}
+	}
+	return m
+}
+
+// lookup serves every job of two items the memo does not mark stale: a
+// survivor with its verdict, any other pair as rejected (it was priced and
+// failed, or was not mergeable). Jobs and pairs are both in (u, v) order.
+func (m *roundMemo) lookup(_ []*node, jobs []pairJob, res []pairResult, st []jobState) int {
+	served, next := 0, 0
+	for i, j := range jobs {
+		if m.stale != nil && (m.stale[j.u] || m.stale[j.v]) {
+			continue
+		}
+		for next < len(m.pairs) && (int(m.pairs[next].u) < j.u || int(m.pairs[next].u) == j.u && int(m.pairs[next].v) < j.v) {
+			next++
+		}
+		if next < len(m.pairs) && m.pairs[next].is(j.u, j.v) {
+			var t utilTail
+			if m.tails != nil {
+				t = m.tails[next]
+			}
+			res[i], st[i] = m.pairs[next].result(j, m.pairs[next].id, t), memoAccepted
+		} else {
+			st[i] = memoRejected
+		}
+		served++
+	}
+	return served
+}
+
+// store keeps nothing: firstRound publishes the pass's survivors as the
+// session's memo.
+func (*roundMemo) store([]*node, []pairJob, []pairResult, []jobState) {}
+
+// pairJobs lists round one's candidate pairs in (u, v) order and counts
+// those the memo cannot serve. Without a memo that is every mergeable
+// pair, all to be priced. With a pending memo, a pair of two untouched
+// items keeps the base verdict — a candidate exactly when it survived —
+// and a pair with a stale item is re-checked for mergeability against the
+// repaired singletons and priced.
+func (e *engine) pairJobs(nodes []*node, memo *roundMemo) (jobs []pairJob, priced int) {
 	next := 0 // cursor into memo.pairs, which is in the same (u, v) order
 	for u := 0; u < len(nodes); u++ {
 		for v := u + 1; v < len(nodes); v++ {
-			cand := memo != nil && next < len(memo.pairs) && memo.pairs[next] == memoPair{u: int32(u), v: int32(v)}
+			cand := memo != nil && next < len(memo.pairs) && memo.pairs[next].is(u, v)
 			if cand {
 				next++
 			}
 			if memo == nil || memo.stale[u] || memo.stale[v] {
-				cand = e.mergeable(nodes[u], nodes[v])
+				if cand = e.mergeable(nodes[u], nodes[v]); cand {
+					priced++
+				}
 			}
 			if cand {
 				jobs = append(jobs, pairJob{u: u, v: v})
 			}
 		}
 	}
-	return jobs
+	return jobs, priced
 }

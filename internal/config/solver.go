@@ -21,9 +21,9 @@ import (
 // indexing.
 //
 // All mutable per-run state lives in a per-solve engine; the Solver itself
-// holds only immutable snapshots, sync.Pool-recycled scratch and an
-// atomically published round-one memo, so one Solver may be shared freely
-// between goroutines.
+// holds only immutable snapshots, sync.Pool-recycled scratch, an
+// atomically published round-one memo and its lineage's locked later-round
+// memo, so one Solver may be shared freely between goroutines.
 type Solver struct {
 	w      *wtp.Matrix
 	sh     *wtp.Shard
@@ -45,6 +45,9 @@ type Solver struct {
 	// round1 is the round-one memo (see roundMemo): nil until the first
 	// pair-based solve builds it, or pending when inherited by ApplyDelta.
 	round1 atomic.Pointer[roundMemo]
+	// lin is shared by every session ApplyDelta derives from the one
+	// NewSolver built: node identities and the later-round memo.
+	lin *lineage
 }
 
 // StripeExecutor computes the striped consumer-axis reductions every
@@ -132,6 +135,7 @@ func NewSolverOn(w *wtp.Matrix, params Params, exec StripeExecutor) (*Solver, er
 		params: params,
 		pr:     pr,
 		k:      params.maxSize(),
+		lin:    newLineage(params),
 	}
 	if s.exec == nil {
 		s.exec = localExec{s.sh}
@@ -157,6 +161,9 @@ func (s *Solver) SolveContext(ctx context.Context, a Algorithm) (*Configuration,
 	cfg, err := a.Solve(ctx, s)
 	if cfg != nil {
 		sp.Tag("iterations", cfg.Iterations)
+	}
+	if sp != nil { // bytes walks the memo under its lock: only for a traced solve
+		sp.Tag("memo_bytes", s.lin.memo.bytes())
 	}
 	sp.End()
 	return cfg, err
@@ -412,7 +419,7 @@ func (e *engine) buildSingletons() []*node {
 // (the cluster coordinator cuts its worker spans from this session's
 // shard).
 func (e *engine) buildSingleton(ctx *workerCtx, i int) *node {
-	n := &node{items: []int{i}, fresh: true}
+	n := &node{items: []int{i}, fresh: true, id: e.s.lin.newIDs(1)}
 	// θ never applies to a single item: Eq. 1 degenerates to the raw WTP.
 	if e.incremental {
 		n.ids, n.vals = e.sh.BundleVector(n.items, 0, nil, nil)
@@ -428,6 +435,16 @@ func (e *engine) buildSingleton(ctx *workerCtx, i int) *node {
 		e.initState(n)
 	}
 	return n
+}
+
+// laterMemo returns the memo a later-round pricing pass consults: the
+// lineage's, or none for the run-to-end variant (keepAll), whose
+// non-gaining candidates it does not hold.
+func (e *engine) laterMemo(keepAll bool) verdicts {
+	if keepAll {
+		return nil
+	}
+	return &e.s.lin.memo
 }
 
 // singletons returns this run's working copies of the session's singleton

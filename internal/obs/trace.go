@@ -191,15 +191,30 @@ type Span struct {
 	tags   []Tag
 }
 
-// Tag annotates the span. Values are rendered with fmt.Sprint at call time
-// only for non-string types.
+// spanTags is the tag capacity a span allocates on its first Tag: the
+// engine's per-pass price_candidates span, the most numerous span in a
+// trace, carries three, and one allocation of exactly that many keeps the
+// trace ring's bytes down where doubling from one would allocate three
+// times and leave room for four.
+const spanTags = 3
+
+// Tag annotates the span. Values are rendered at call time: an int with
+// strconv.Itoa, any other non-string type with fmt.Sprint.
 func (s *Span) Tag(key string, value any) {
 	if s == nil {
 		return
 	}
-	str, ok := value.(string)
-	if !ok {
+	var str string
+	switch v := value.(type) {
+	case string:
+		str = v
+	case int:
+		str = strconv.Itoa(v)
+	default:
 		str = fmt.Sprint(value)
+	}
+	if s.tags == nil {
+		s.tags = make([]Tag, 0, spanTags)
 	}
 	s.tags = append(s.tags, Tag{Key: key, Value: str})
 }

@@ -193,3 +193,112 @@ func TestFailedPersistRollsBack(t *testing.T) {
 		}
 	}
 }
+
+// TestPatchPreloadStaysMemoryOnly: a PATCH of a preloaded corpus (the -demo
+// corpus) in a daemon with a data dir applies in memory only — it answers
+// 200 at the next generation, the corpus stays listed and solvable, and no
+// record of it reaches the disk, so a restart does not list it. A PATCHed
+// preload that shadows a persisted corpus still gives way to it when
+// evicted.
+func TestPatchPreloadStaysMemoryOnly(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	uploadDoc(t, ts, "kept", bundling.NewMatrixDoc(testMatrix(t, 30, 6, 1)), OptionsDoc{})
+	w := testMatrix(t, 20, 4, 2)
+	if err := Preload(srv, "demo", w, bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	cells := []bundling.DeltaCell{{Consumer: 1, Item: 2, Value: 7.5}, {Consumer: 3, Item: 0, Delete: true}}
+	buf, err := jsonMarshal(MutateCorpusRequest{Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, body := patchBody(t, ts, "demo", "application/json", buf)
+	var out MutateCorpusResponse
+	if resp.StatusCode != http.StatusOK || decodeString(body, &out) != nil || out.Version != 2 {
+		t.Fatalf("PATCH of the preload: %d %s, want 200 at generation 2", resp.StatusCode, body)
+	}
+	listed := func(ts *httptest.Server) map[string]CorpusInfo {
+		t.Helper()
+		_, body := postGet(t, ts, "/v1/corpora")
+		var list ListCorporaResponse
+		if err := decodeString(body, &list); err != nil {
+			t.Fatal(err)
+		}
+		byID := map[string]CorpusInfo{}
+		for _, c := range list.Corpora {
+			byID[c.ID] = c
+		}
+		return byID
+	}
+	if c, ok := listed(ts)["demo"]; !ok || c.Version != 2 {
+		t.Fatalf("after the PATCH demo is listed as %+v (listed %v), want generation 2", c, ok)
+	}
+	applyCells(t, w, cells)
+	direct, err := bundling.NewSolver(w, bundling.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.Solve(bundling.Matching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := solveRevenue(t, ts, "demo", "matching"); got != want.Revenue {
+		t.Fatalf("patched demo revenue %g, want %g", got, want.Revenue)
+	}
+	if live, _ := st.Catalog(); len(live) != 1 {
+		t.Fatalf("store catalog %v, want only the uploaded corpus", live)
+	}
+	records, err := os.ReadDir(filepath.Join(dir, "corpora"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if key, _, ok := parseRecordName(r.Name()); ok && key == recordName("demo") {
+			t.Errorf("the data dir holds record %s for the memory-only demo", r.Name())
+		}
+	}
+	ts.Close()
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	srv = New(Config{Store: st, MaxSessions: 1})
+	defer srv.Close()
+	if _, err := srv.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if c, ok := listed(ts)["demo"]; ok {
+		t.Fatalf("a server restored from the data dir lists demo: %+v", c)
+	}
+
+	// A preload of "kept" shadows the persisted corpus; PATCHed and then
+	// evicted, it must give way to it again.
+	keptWant, _ := solveRevenue(t, ts, "kept", "matching")
+	if err := Preload(srv, "kept", testMatrix(t, 20, 4, 3), bundling.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := patchBody(t, ts, "kept", "application/json", buf); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH of the shadowing preload: %d %s", resp.StatusCode, body)
+	}
+	uploadDoc(t, ts, "other", bundling.NewMatrixDoc(testMatrix(t, 10, 3, 4)), OptionsDoc{}) // evicts the preload
+	if c := listed(ts)["kept"]; c.Version != 1 || c.Consumers != 30 {
+		t.Fatalf("after evicting the PATCHed preload kept is listed as %+v, want the persisted generation 1", c)
+	}
+	if got, _ := solveRevenue(t, ts, "kept", "matching"); got != keptWant {
+		t.Fatalf("persisted kept revenue %g after the preload's eviction, want %g", got, keptWant)
+	}
+}

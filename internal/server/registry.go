@@ -261,7 +261,8 @@ func (r *registry) put(sess *session, q Quotas, enforce bool) (replaced *session
 // upload or mutation installed from a different base. The entry quota is
 // re-checked atomically (a delta can grow the corpus); ownership needs no
 // check, the new session inherits old's tenant. sess takes old's LRU slot,
-// so nothing is evicted.
+// so nothing is evicted. A memory-only sess inherits the persisted corpus
+// old shadows, if any, so evicting it still gives way to that corpus.
 func (r *registry) putReplacing(sess, old *session, q Quotas) (replaced *session, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -270,6 +271,9 @@ func (r *registry) putReplacing(sess, old *session, q Quotas) (replaced *session
 	}
 	if err := r.quotaCheckLocked(sess.tenant, sess.id, sess.stats.Entries, q); err != nil {
 		return nil, err
+	}
+	if !sess.persisted {
+		sess.shadow = old.shadow
 	}
 	r.versions[sess.id]++
 	sess.version = r.versions[sess.id]

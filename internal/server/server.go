@@ -832,8 +832,11 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "apply delta: %v", err)
 		return
 	}
+	// A PATCH of a persisted corpus chains a delta record onto its base's;
+	// one of a memory-only corpus (Preload, -demo) has no record to chain
+	// onto and stays memory-only.
 	nsess := newSession(sess.id, sess.tenant, solver, sess.opts, sess.createdAt)
-	if s.cfg.Store != nil {
+	if sess.persisted {
 		nsess.persisted, nsess.durable = true, make(chan struct{})
 		defer close(nsess.durable)
 	}
@@ -848,7 +851,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.retireSession(replaced)
-	if s.cfg.Store != nil {
+	if nsess.persisted {
 		rec := CorpusRecord{
 			ID:             nsess.id,
 			Generation:     nsess.version,
