@@ -1,7 +1,6 @@
 package config
 
 import (
-	"container/heap"
 	"time"
 
 	"bundling/internal/obs"
@@ -36,7 +35,7 @@ func (e *engine) greedy() (*Configuration, error) {
 	trace := []IterationStat{{Iteration: 0, Revenue: total, Elapsed: time.Since(start), Bundles: len(nodes)}}
 
 	// Heap entries whose bundles have since died are skipped on pop.
-	h := &mergeHeap{}
+	var h mergeHeap
 	alive := len(nodes)
 	// The run-to-end variant's alternative stopping condition (Sec. 5.3.2)
 	// needs every mergeable pair, not only the gaining ones: the algorithm
@@ -48,7 +47,7 @@ func (e *engine) greedy() (*Configuration, error) {
 		return nil, err
 	}
 	for _, r := range first {
-		heap.Push(h, r)
+		h.push(r)
 	}
 	// Best-seen snapshot for the run-to-end variant.
 	bestTotal := total
@@ -69,11 +68,11 @@ func (e *engine) greedy() (*Configuration, error) {
 	}
 	iteration := 0
 	var jobs []pairJob
-	for h.Len() > 0 {
+	for len(h) > 0 {
 		if err := e.canceled(); err != nil {
 			return nil, err
 		}
-		top := heap.Pop(h).(pairResult)
+		top := h.pop()
 		if nodes[top.u].dead || nodes[top.v].dead {
 			continue
 		}
@@ -108,7 +107,7 @@ func (e *engine) greedy() (*Configuration, error) {
 			jobs = append(jobs, pairJob{u: i, v: newIdx})
 		}
 		for _, r := range e.evalPairs(nodes, jobs, runToEnd, e.laterMemo(runToEnd)) {
-			heap.Push(h, r)
+			h.push(r)
 		}
 	}
 	if err := e.canceled(); err != nil {
@@ -135,17 +134,45 @@ func (e *engine) greedy() (*Configuration, error) {
 	return cfg, nil
 }
 
-// mergeHeap is a max-heap of priced candidate merges by gain.
+// mergeHeap is a max-heap of priced candidate merges by gain. push and pop
+// take container/heap's exact up and down steps with the same comparison,
+// so the pop order, ties included, is container/heap's, without boxing
+// every candidate in an interface.
 type mergeHeap []pairResult
 
-func (h mergeHeap) Len() int            { return len(h) }
-func (h mergeHeap) Less(i, j int) bool  { return h[i].gain > h[j].gain }
-func (h mergeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x interface{}) { *h = append(*h, x.(pairResult)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds r and sifts it up.
+func (h *mergeHeap) push(r pairResult) {
+	*h = append(*h, r)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !(s[j].gain > s[i].gain) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
+	}
+}
+
+// pop removes and returns the candidate of the highest gain.
+func (h *mergeHeap) pop() pairResult {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n || j < 0 {
+			break
+		}
+		if j2 := j + 1; j2 < n && s[j2].gain > s[j].gain {
+			j = j2 // right child
+		}
+		if !(s[j].gain > s[i].gain) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
 }

@@ -336,7 +336,8 @@ func TestPatchPersistRestartAndFold(t *testing.T) {
 	}
 }
 
-// countRecords counts the record files of one corpus in the store dir.
+// countRecords counts the chain links of one corpus in the store dir: one
+// per snapshot record and one per frame of a delta log.
 func countRecords(t testing.TB, dir, id string) int {
 	t.Helper()
 	entries, err := os.ReadDir(dir + "/corpora")
@@ -345,9 +346,19 @@ func countRecords(t testing.TB, dir, id string) int {
 	}
 	n := 0
 	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), id+".") {
-			n++
+		if !strings.HasPrefix(e.Name(), id+".") {
+			continue
 		}
+		_, root, ok := parseRecordName(e.Name())
+		if !ok || !strings.HasSuffix(e.Name(), logExt) {
+			n++
+			continue
+		}
+		buf, err := os.ReadFile(dir + "/corpora/" + e.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(scanLog(buf, id, root))
 	}
 	return n
 }

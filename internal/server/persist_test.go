@@ -321,6 +321,117 @@ func TestLazyBootDoesNotReadRecords(t *testing.T) {
 	}
 }
 
+// TestRestartContinuesPatchedCorpus: a PATCHed corpus restarts at its head
+// generation and entry count, read from its delta log — boot opens no
+// snapshot record, so a poisoned one goes unnoticed — and once the snapshot
+// heals, the next PATCH answers the head's next generation and a solve
+// equals a rebuild of the replayed matrix.
+func TestRestartContinuesPatchedCorpus(t *testing.T) {
+	dir := t.TempDir()
+	st, err := server.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(server.Config{Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	w := persistMatrix(60, 12, 50)
+	opts := bundling.Options{Theta: -0.02}
+	if code, body := do(t, http.MethodPost, ts.URL+"/v1/corpora", "", uploadBody(t, "p", w, opts)); code != http.StatusCreated {
+		t.Fatalf("upload: %d: %s", code, body)
+	}
+	rng := rand.New(rand.NewSource(50))
+	patch := func(ts *httptest.Server, want int) {
+		t.Helper()
+		cells := make([]bundling.DeltaCell, 4)
+		for k := range cells {
+			cells[k] = bundling.DeltaCell{Consumer: rng.Intn(60), Item: rng.Intn(12), Value: 1 + rng.Float64()*19}
+			if k == 3 {
+				cells[k].Value, cells[k].Delete = 0, true
+			}
+		}
+		buf, err := json.Marshal(server.MutateCorpusRequest{Cells: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := do(t, http.MethodPatch, ts.URL+"/v1/corpora/p", "", string(buf))
+		var out server.MutateCorpusResponse
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &out) != nil || out.Version != want {
+			t.Fatalf("patch: %d: %s; want 200 at generation %d", code, body, want)
+		}
+		for _, c := range cells {
+			if c.Delete {
+				if err := w.Delete(c.Consumer, c.Item); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				w.MustSet(c.Consumer, c.Item, c.Value)
+			}
+		}
+	}
+	for gen := 2; gen <= 4; gen++ {
+		patch(ts, gen)
+	}
+	ts.Close()
+	srv.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Poison the snapshot record; the delta log stays as written.
+	snaps, err := filepath.Glob(filepath.Join(dir, "corpora", "*.bin"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshot records = %v, %v; want 1", snaps, err)
+	}
+	saved, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snaps[0], []byte("not a record"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := server.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	srv2 := server.New(server.Config{Store: st2})
+	defer srv2.Close()
+	if restored, err := srv2.Restore(); err != nil || restored != 1 {
+		t.Fatalf("restore: %d, %v", restored, err)
+	}
+	if n := srv2.Sessions(); n != 0 {
+		t.Fatalf("boot indexed %d sessions; lazy restore must index none", n)
+	}
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	code, body := do(t, http.MethodGet, ts2.URL+"/v1/corpora", "", "")
+	var list server.ListCorporaResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &list) != nil || len(list.Corpora) != 1 {
+		t.Fatalf("list after restart: %d: %s", code, body)
+	}
+	if got := list.Corpora[0]; got.Version != 4 || got.Entries != w.Entries() {
+		t.Fatalf("restart lists p at generation %d with %d entries, want the head, generation 4 with %d", got.Version, got.Entries, w.Entries())
+	}
+
+	if err := os.WriteFile(snaps[0], saved, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	patch(ts2, 5)
+	direct, err := bundling.NewSolver(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := direct.Solve(bundling.Matching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := solveResult(t, ts2, "", "p", "matching")
+	if got.Version != 5 || math.Abs(ref.Revenue-got.Config.Revenue) > 1e-9*(1+math.Abs(ref.Revenue)) {
+		t.Errorf("after the restart and a PATCH, p solves at generation %d to %.12f; want generation 5 and the rebuild's %.12f", got.Version, got.Config.Revenue, ref.Revenue)
+	}
+}
+
 // TestRestartRoundTripCluster reboots a durable daemon whose engine is the
 // cluster coordinator: restored sessions must re-feed worker spans (fresh
 // nonce, eager feed — the existing upload path) and serve identical results.

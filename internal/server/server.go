@@ -764,7 +764,7 @@ func (s *Server) deleteRecord(w http.ResponseWriter, id string, gen int) bool {
 // singletons, span-scoped worker feeds) instead of re-indexing the matrix,
 // the registry swaps it in under the next generation — the old snapshot's
 // cached results are dropped with it (retireSession) — and the store
-// appends a generation-chained delta record that compaction later folds
+// appends one frame to the corpus's delta log, which compaction later folds
 // into a snapshot. The body is the JSON MutateCorpusRequest or, with
 // Content-Type codec.ContentType, a binary codec delta envelope.
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
@@ -805,8 +805,8 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusConflict, "corpus %q is at generation %d, not %d", id, sess.version, req.IfGeneration)
 		return
 	}
-	// The delta record chains onto the base generation's record, so the
-	// base's own persist must have landed first.
+	// The log frame chains onto the base generation, so the base's own
+	// persist must have landed first.
 	sess.waitDurable()
 	// The incremental repair is engine-bound work (touched-item singleton
 	// re-pricing, worker delta feeds), so it runs under an execution slot
@@ -832,8 +832,8 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "apply delta: %v", err)
 		return
 	}
-	// A PATCH of a persisted corpus chains a delta record onto its base's;
-	// one of a memory-only corpus (Preload, -demo) has no record to chain
+	// A PATCH of a persisted corpus appends a frame to its delta log; one of
+	// a memory-only corpus (Preload, -demo) has no record to chain
 	// onto and stays memory-only.
 	nsess := newSession(sess.id, sess.tenant, solver, sess.opts, sess.createdAt)
 	if sess.persisted {
@@ -860,7 +860,9 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			Entries:        nsess.stats.Entries,
 		}
 		_, psp := obs.StartSpan(r.Context(), "persist")
-		perr := s.cfg.Store.PutDelta(rec)
+		cost, perr := s.cfg.Store.appendDelta(rec)
+		psp.Tag("bytes", cost.bytes)
+		psp.Tag("fsyncs", cost.fsyncs)
 		psp.End()
 		if perr != nil {
 			// Same contract as an upload: a mutation the caller cannot trust

@@ -243,3 +243,53 @@ func TestStoreRecordNameCollisions(t *testing.T) {
 		t.Errorf("parseRecordName(bin) = %q %d %v", key, gen, ok)
 	}
 }
+
+// TestStoreRefusesDeltaRecordChains: a data dir whose manifest still chains
+// corpora through per-generation delta records (its "bases" entries) is
+// refused with an error that names them, and nothing in it is touched.
+func TestStoreRefusesDeltaRecordChains(t *testing.T) {
+	dir := t.TempDir()
+	corpora := filepath.Join(dir, "corpora")
+	if err := os.MkdirAll(corpora, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{
+		filepath.Join(dir, "manifest.json"): `{"live":{"shop":3,"plain":1},"generations":{"shop":3,"plain":1},"bases":{"shop":1}}`,
+	}
+	for _, name := range []string{recordName("shop") + ".g1.bin", recordName("shop") + ".g2.bin", recordName("shop") + ".g3.bin", recordName("plain") + ".g1.bin"} {
+		files[filepath.Join(corpora, name)] = "record " + name
+	}
+	for path, body := range files {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir)
+	if err == nil {
+		st.Close()
+		t.Fatal("a manifest with delta-record chains opened")
+	}
+	if !strings.Contains(err.Error(), `"shop"`) || strings.Contains(err.Error(), `"plain"`) {
+		t.Errorf("error %q should name the chained corpus shop, and only it", err)
+	}
+	var left []string
+	for _, d := range []string{dir, corpora} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.IsDir() {
+				continue
+			}
+			path := filepath.Join(d, e.Name())
+			left = append(left, path)
+			if buf, err := os.ReadFile(path); err != nil || string(buf) != files[path] {
+				t.Errorf("%s changed: %q, %v", path, buf, err)
+			}
+		}
+	}
+	if len(left) != len(files) {
+		t.Errorf("the data dir holds %v, want exactly the %d files it had", left, len(files))
+	}
+}
