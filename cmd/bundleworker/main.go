@@ -1,8 +1,8 @@
 // Command bundleworker is the stripe-span worker daemon of the distributed
 // bundle-pricing cluster. A bundled coordinator (started with -workers)
 // feeds it contiguous stripe spans of uploaded corpora and then drives the
-// scatter/gather evaluate traffic: per-span bundle vectors, cached-vector
-// unions, and pricing aggregates (see internal/cluster for the protocol).
+// scatter/gather evaluate traffic: per-span bundle vectors and pricing
+// aggregates (see internal/cluster for the protocol).
 //
 // Usage:
 //

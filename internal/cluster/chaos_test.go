@@ -104,9 +104,10 @@ func TestChaosEquivalence(t *testing.T) {
 }
 
 // TestChaosBlackholedWorker: one worker of two hangs on every call (a
-// SIGSTOPped process). Latency must stay bounded by the per-RPC timeout —
-// the ladder times the primary out and the replica answers — and results
-// must stay exact.
+// SIGSTOPped process). An evaluate's latency must stay bounded by the
+// per-RPC timeout — the ladder times the primary out and the replica
+// answers — and results must stay exact, a solve's (which sends no RPC)
+// included.
 func TestChaosBlackholedWorker(t *testing.T) {
 	w := testMatrix(t, 120, 10, 8)
 	opts := bundling.Options{StripeSize: 16}
@@ -130,15 +131,15 @@ func TestChaosBlackholedWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
 	got, err := cs.Solve(bundling.Matching())
-	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameConfig(t, "blackholed-worker", got, want)
-	if elapsed > 30*time.Second {
-		t.Fatalf("solve took %v with one blackholed worker; latency not bounded by the RPC timeout", elapsed)
+	sameConfig(t, "blackholed-worker/solve", got, want)
+	start := time.Now()
+	sameEvaluates(t, "blackholed-worker/evaluate", cs, local, [][][]int{evalOffers()})
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("evaluate took %v with one blackholed worker; latency not bounded by the RPC timeout", elapsed)
 	}
 	st := cs.ClusterStats()
 	if st.ReplicaRetries == 0 && st.LocalFallbacks == 0 {
@@ -250,7 +251,8 @@ func TestChaosPartitionedFleet(t *testing.T) {
 
 // TestChaosBreakerRecovery wires the full resilience stack — chaos under
 // breakers under the coordinator — partitions one worker until its breaker
-// trips, then heals it and waits for the breaker to close again.
+// trips, then heals it and waits for the breaker to close again. Evaluates
+// drive the RPCs; a solve sends none, and must match local throughout.
 func TestChaosBreakerRecovery(t *testing.T) {
 	w := testMatrix(t, 120, 10, 9)
 	opts := bundling.Options{StripeSize: 16}
@@ -279,14 +281,15 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameConfig(t, "breaker/partitioned", got, want)
+	sameConfig(t, "breaker/partitioned/solve", got, want)
+	lineups := [][][]int{evalOffers(), {{0, 1}, {2, 3, 4}}, {{5, 6}, {7}, {8, 9}}}
+	sameEvaluates(t, "breaker/partitioned", cs, local, lineups)
 	if breakers[0].State() == BreakerClosed {
 		t.Fatal("worker 0's breaker did not trip under a partition")
 	}
-	// With the breaker open, further solves skip the dead worker outright.
-	if _, err := cs.Solve(bundling.Greedy()); err != nil {
-		t.Fatal(err)
-	}
+	// With the breaker open, further evaluates skip the dead worker
+	// outright.
+	sameEvaluates(t, "breaker/open", cs, local, lineups)
 	if st := cs.ClusterStats(); st.BreakerSkips == 0 {
 		t.Fatalf("open breaker was never consulted: %+v", st)
 	}
@@ -298,11 +301,14 @@ func TestChaosBreakerRecovery(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("breaker never recovered: %+v", breakers[0].Snapshot())
 		}
-		if _, err := cs.Solve(bundling.Matching()); err != nil {
-			t.Fatal(err)
-		}
+		sameEvaluates(t, "breaker/healing", cs, local, lineups[:1])
 		time.Sleep(10 * time.Millisecond)
 	}
+	got, err = cs.Solve(bundling.Matching())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameConfig(t, "breaker/recovered/solve", got, want)
 }
 
 // TestChaosDeterministicSchedule: identical seeds over identical call
@@ -333,12 +339,16 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 	}
 }
 
-// TestSolveContextDeadline: a caller deadline shorter than the fleet's
-// hang must abort the run promptly with the context's error — the engine
-// notices at its next iteration boundary once the blackholed RPCs collapse.
+// TestSolveContextDeadline: a solve sends no RPC, so with every worker
+// blackholed a fleet solve returns the local result well inside its caller's
+// deadline, where a single RPC would hang until the deadline cut it off.
 func TestSolveContextDeadline(t *testing.T) {
 	w := testMatrix(t, 100, 8, 14)
 	opts := bundling.Options{StripeSize: 16}
+	local, err := bundling.NewSolver(w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	_, base := fleet(2)
 	chaosT, chaos := wrapChaos(base, ChaosConfig{Seed: 17})
 	cs, err := NewSolver(w, opts, Config{Workers: chaosT, RequestTimeout: 10 * time.Second, FeedTimeout: 100 * time.Millisecond})
@@ -355,18 +365,28 @@ func TestSolveContextDeadline(t *testing.T) {
 	for _, c := range chaos {
 		c.Blackhole(true)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = cs.SolveContext(ctx, bundling.Matching())
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	// The deadline must cut the blackholed RPCs short: well under the 10s
-	// per-RPC budget, not one timeout per span in sequence.
-	if elapsed > 5*time.Second {
-		t.Fatalf("canceled solve still took %v", elapsed)
+	const deadline = 5 * time.Second
+	for _, alg := range []bundling.Algorithm{bundling.Optimal2(), bundling.Matching(), bundling.Greedy()} {
+		want, err := local.Solve(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		before := cs.ClusterStats().RemoteCalls
+		start := time.Now()
+		got, err := cs.SolveContext(ctx, alg)
+		elapsed := time.Since(start)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s through a blackholed fleet: %v", alg.Name(), err)
+		}
+		sameConfig(t, "blackholed-solve/"+alg.Name(), got, want)
+		if calls := cs.ClusterStats().RemoteCalls - before; calls != 0 {
+			t.Fatalf("%s sent %d RPCs", alg.Name(), calls)
+		}
+		if elapsed > deadline/2 {
+			t.Fatalf("%s took %v of its %v deadline", alg.Name(), elapsed, deadline)
+		}
 	}
 }
 

@@ -233,7 +233,7 @@ type spanSlot struct {
 	// when a replica covers a dead primary's span alongside its own.
 	key     string
 	doc     *wtp.SpanDoc
-	hi      int // consumer upper bound (exclusive); the union cut boundary
+	hi      int // consumer upper bound (exclusive); where a delta's cells are cut
 	primary int
 	// feedFailUntil[worker] is the unix-nano deadline before which re-feeds
 	// to that worker are skipped after a failed span upload, so a worker
@@ -391,40 +391,37 @@ func (x *executor) forEachSpan(fn func(i int)) {
 	wg.Wait()
 }
 
-// callSpan runs one span request through the retry ladder: primary (with a
-// re-feed retry on a stale/missing span), then the replica worker (fed on
-// demand), then the local span store. A reply that fails valid — a worker
-// answering with the wrong shape — is recomputed locally too, before it can
-// reach a reduction. It cannot fail — the ladder ends on local compute —
-// which is what lets the engine's vector paths stay error-free. Every RPC
-// derives its deadline from parent, so the ladder never outlives its caller:
-// under a canceled parent the workers fail fast and the local store answers
-// (the engine aborts at its next cancellation check, discarding the result).
-func callSpan[T any](x *executor, parent context.Context, sl *spanSlot, op string, call func(ctx context.Context, t Transport, key string) (T, error), local func(sp *wtp.SpanStore) T, valid func(T) bool) T {
-	v, err := tryWorker(x, parent, sl, sl.primary, op, "primary", call)
-	if err != nil && len(x.workers) > 1 && parent.Err() == nil {
-		x.replicaRetries.Add(1)
-		v, err = tryWorker(x, parent, sl, (sl.primary+1)%len(x.workers), op, "replica", call)
-	}
-	if err == nil && valid(v) {
-		return v
-	}
-	x.localFallbacks.Add(1)
-	_, sp := obs.StartSpan(parent, "rpc")
-	sp.Tag("op", op)
-	sp.Tag("worker", "local")
-	sp.Tag("outcome", "local_fallback")
-	v = local(sl.localStore())
-	sp.End()
-	return v
-}
-
-// gather runs one request per span through callSpan, concurrently, and
-// returns the replies in stripe order: one scatter round.
-func gather[T any](x *executor, ctx context.Context, op string, call func(ctx context.Context, t Transport, key string) (T, error), local func(sp *wtp.SpanStore) T, valid func(T) bool) []T {
+// gather runs one request per span, concurrently, and returns the replies
+// in stripe order: one scatter round. Each request runs the retry ladder:
+// primary (with a re-feed retry on a stale/missing span), then the replica
+// worker (fed on demand), then the local span store. A reply that fails
+// valid — a worker answering with the wrong shape — is recomputed locally
+// too, before it can reach a reduction. It cannot fail — the ladder ends on
+// local compute — which is what lets the engine's vector paths stay
+// error-free. Every RPC derives its deadline from parent, so the ladder
+// never outlives its caller: under a canceled parent the workers fail fast
+// and the local store answers (the engine aborts at its next cancellation
+// check, discarding the result).
+func gather[T any](x *executor, parent context.Context, op string, call func(ctx context.Context, t Transport, key string) (T, error), local func(sp *wtp.SpanStore) T, valid func(T) bool) []T {
 	parts := make([]T, len(x.spans))
 	x.forEachSpan(func(i int) {
-		parts[i] = callSpan(x, ctx, x.spans[i], op, call, local, valid)
+		sl := x.spans[i]
+		v, err := tryWorker(x, parent, sl, sl.primary, op, "primary", call)
+		if err != nil && len(x.workers) > 1 && parent.Err() == nil {
+			x.replicaRetries.Add(1)
+			v, err = tryWorker(x, parent, sl, (sl.primary+1)%len(x.workers), op, "replica", call)
+		}
+		if err == nil && valid(v) {
+			parts[i] = v
+			return
+		}
+		x.localFallbacks.Add(1)
+		_, sp := obs.StartSpan(parent, "rpc")
+		sp.Tag("op", op)
+		sp.Tag("worker", "local")
+		sp.Tag("outcome", "local_fallback")
+		parts[i] = local(sl.localStore())
+		sp.End()
 	})
 	return parts
 }
@@ -550,53 +547,6 @@ func appendBundle(parts []VectorResponse, k int, dstIDs []int, dstVals []float64
 		}
 		dstIDs = append(dstIDs, p.IDs[lo:p.Ends[k]]...)
 		dstVals = append(dstVals, p.Vals[lo:p.Ends[k]]...)
-	}
-	return dstIDs, dstVals
-}
-
-// UnionVectors implements config.StripeExecutor: the two cached vectors are
-// cut at span boundaries, each span's slices merged by the worker owning
-// it, and the results concatenated in stripe order.
-func (x *executor) UnionVectors(ctx context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	type cut struct{ a0, a1, b0, b1 int }
-	cuts := make([]cut, len(x.spans))
-	ai, bi := 0, 0
-	for i, sl := range x.spans {
-		c := cut{a0: ai, b0: bi}
-		for ai < len(aIDs) && aIDs[ai] < sl.hi {
-			ai++
-		}
-		for bi < len(bIDs) && bIDs[bi] < sl.hi {
-			bi++
-		}
-		c.a1, c.b1 = ai, bi
-		cuts[i] = c
-	}
-	parts := make([]VectorResponse, len(x.spans))
-	x.forEachSpan(func(i int) {
-		c := cuts[i]
-		if c.a0 == c.a1 && c.b0 == c.b1 {
-			return // nothing in this span
-		}
-		req := UnionRequest{
-			Version: x.version,
-			AIDs:    aIDs[c.a0:c.a1], AVals: aVals[c.a0:c.a1], SA: sa,
-			BIDs: bIDs[c.b0:c.b1], BVals: bVals[c.b0:c.b1], SB: sb,
-		}
-		parts[i] = callSpan(x, ctx, x.spans[i], "union",
-			func(ctx context.Context, t Transport, key string) (VectorResponse, error) {
-				return t.Union(ctx, key, req)
-			},
-			func(sp *wtp.SpanStore) VectorResponse {
-				ids, vals := sp.UnionVectors(req.AIDs, req.AVals, sa, req.BIDs, req.BVals, sb, nil, nil)
-				return VectorResponse{IDs: ids, Vals: vals}
-			},
-			func(r VectorResponse) bool { return len(r.IDs) == len(r.Vals) })
-	})
-	dstIDs, dstVals = dstIDs[:0], dstVals[:0]
-	for i := range parts {
-		dstIDs = append(dstIDs, parts[i].IDs...)
-		dstVals = append(dstVals, parts[i].Vals...)
 	}
 	return dstIDs, dstVals
 }

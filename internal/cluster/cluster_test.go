@@ -487,9 +487,10 @@ func TestClusterLazyFeed(t *testing.T) {
 	}
 }
 
-// TestClusterReplicaRetry: with one worker down, its spans are served by
-// the replica worker (fed on demand), still matching local results, with no
-// local fallback needed.
+// TestClusterReplicaRetry: with one worker down, an evaluate's requests
+// for its spans are served by the replica worker (fed on demand), still
+// matching local results, with no local fallback needed; a solve, which
+// sends no RPC, matches local too.
 func TestClusterReplicaRetry(t *testing.T) {
 	w := testMatrix(t, 140, 10, 3)
 	_, transports := fleet(2)
@@ -514,7 +515,8 @@ func TestClusterReplicaRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameConfig(t, "replica", got, want)
+	sameConfig(t, "replica/solve", got, want)
+	sameEvaluates(t, "replica/evaluate", cs, local, [][][]int{evalOffers()})
 	st := cs.ClusterStats()
 	if st.ReplicaRetries == 0 {
 		t.Fatal("expected replica retries while worker 0 is down")

@@ -5,11 +5,11 @@
 // The unit of distribution is the stripe span (wtp.SpanDoc): a contiguous
 // range of the corpus shard's stripes, shipped to the bundleworker daemon
 // that owns it as a binary codec envelope (internal/codec; roughly a third
-// of the JSON bytes). Workers serve three per-span reductions — bundle
-// vectors, cached-vector unions, and pricing aggregates (max + histogram) —
-// with the exact per-stripe kernels the single-machine shard uses, so per-span
-// results concatenated (or summed) in stripe order reproduce the local
-// Solver's arithmetic. Vector and aggregate queries carry a whole lineup's
+// of the JSON bytes). Workers serve per-span bundle vectors and pricing
+// aggregates (max + histogram) with the exact per-stripe kernels the
+// single-machine shard uses, so per-span results concatenated (or summed)
+// in stripe order reproduce the local Solver's arithmetic. Solves form a
+// candidate merge's vector, the union of two cached vectors, in process. Vector and aggregate queries carry a whole lineup's
 // bundles, so an evaluate costs a fixed number of scatter rounds: two for a
 // pure lineup (maxima, then histograms) and one for a mixed one (vectors).
 //
@@ -86,7 +86,8 @@ type VectorResponse struct {
 }
 
 // UnionRequest asks a worker to merge the span-restricted slices of two
-// cached consumer vectors (the incremental candidate-merge fast path).
+// cached consumer vectors. No coordinator sends it: solves form every union
+// in process.
 type UnionRequest struct {
 	Version uint64    `json:"version"`
 	AIDs    []int     `json:"a_ids"`

@@ -243,16 +243,16 @@ func (wk *Worker) Vector(corpus string, req VectorRequest) (VectorResponse, erro
 }
 
 // Union merges the span-restricted slices of two cached consumer vectors.
+// No coordinator sends it: solves form every union in process.
 func (wk *Worker) Union(corpus string, req UnionRequest) (VectorResponse, error) {
 	start := time.Now()
 	if len(req.AIDs) != len(req.AVals) || len(req.BIDs) != len(req.BVals) {
 		return VectorResponse{}, fmt.Errorf("cluster: union of %d ids with %d values and %d ids with %d values", len(req.AIDs), len(req.AVals), len(req.BIDs), len(req.BVals))
 	}
-	sp, err := wk.span(corpus, req.Version)
-	if err != nil {
+	if _, err := wk.span(corpus, req.Version); err != nil {
 		return VectorResponse{}, err
 	}
-	ids, vals := sp.UnionVectors(req.AIDs, req.AVals, req.SA, req.BIDs, req.BVals, req.SB, nil, nil)
+	ids, vals := wtp.UnionVectors(req.AIDs, req.AVals, req.SA, req.BIDs, req.BVals, req.SB, nil, nil)
 	wk.met.Observe("union", time.Since(start))
 	return VectorResponse{IDs: ids, Vals: vals}, nil
 }

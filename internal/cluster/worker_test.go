@@ -260,8 +260,9 @@ func TestWorkerSpanMetricsOptIn(t *testing.T) {
 }
 
 // TestClusterOverHTTP: the coordinator over real HTTP transports matches
-// the local solver, and keeps matching (via replica + local fallback) after
-// a worker daemon dies mid-session.
+// the local solver — a solve, and an evaluate served remotely — and keeps
+// matching (via replica + local fallback) after a worker daemon dies
+// mid-session.
 func TestClusterOverHTTP(t *testing.T) {
 	w := testMatrix(t, 140, 10, 10)
 	wk0, wk1 := NewWorker(WorkerConfig{}), NewWorker(WorkerConfig{})
@@ -291,21 +292,14 @@ func TestClusterOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameConfig(t, "http", got, want)
+	sameEvaluates(t, "http", cs, local, [][][]int{evalOffers()})
 	if st := cs.ClusterStats(); st.LocalFallbacks != 0 || st.RemoteCalls == 0 {
 		t.Fatalf("unexpected traffic stats %+v", st)
 	}
 
 	// Kill worker 0: its span moves to the replica (worker 1); results hold.
 	ts0.Close()
-	wantEval, err := local.Evaluate(evalOffers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotEval, err := cs.Evaluate(evalOffers())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameConfig(t, "http-degraded", gotEval, wantEval)
+	sameEvaluates(t, "http-degraded", cs, local, [][][]int{evalOffers()})
 	if st := cs.ClusterStats(); st.ReplicaRetries == 0 && st.LocalFallbacks == 0 {
 		t.Fatalf("dead worker served nothing yet stats show no retries: %+v", st)
 	}

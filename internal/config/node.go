@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bundling/internal/pricing"
+	"bundling/internal/wtp"
 )
 
 // node is a bundle under construction inside the iterative algorithms. It
@@ -87,27 +88,11 @@ func (sc *mergeScratch) resetState(m int) {
 }
 
 // combineState sets the scratch market state, aligned with the union
-// sc.ids of a and b, to the two parents' combined state. It is addState for
-// exactly two parts in one pass, for the merge hot path.
+// sc.ids of a and b, to the two parents' combined state.
 func (sc *mergeScratch) combineState(a, b *node) {
-	m := len(sc.ids)
-	sc.pay, sc.surp, sc.cost, sc.esur = grow(sc.pay, m), grow(sc.surp, m), grow(sc.cost, m), grow(sc.esur, m)
-	ja, jb := 0, 0
-	for j, id := range sc.ids {
-		var pay, surp, cost, esur float64
-		if ja < len(a.ids) && a.ids[ja] == id {
-			pay, surp, cost, esur = a.pay[ja], a.surp[ja], a.cost[ja], a.esur[ja]
-			ja++
-		}
-		if jb < len(b.ids) && b.ids[jb] == id {
-			pay += b.pay[jb]
-			surp += b.surp[jb]
-			cost += b.cost[jb]
-			esur += b.esur[jb]
-			jb++
-		}
-		sc.pay[j], sc.surp[j], sc.cost[j], sc.esur[j] = pay, surp, cost, esur
-	}
+	sc.resetState(len(sc.ids))
+	sc.addState(sc.ids, a)
+	sc.addState(sc.ids, b)
 }
 
 // addState adds part p's per-consumer market state into the scratch state,
@@ -261,13 +246,21 @@ func (e *engine) vectorScale(n *node) float64 {
 }
 
 // mergeVector builds the merged bundle's interested-consumer vector into
-// the dst slices: through the parents' cached vectors on the stripe
-// executor, or by a postings rescan on the reference path.
+// the dst slices: as the union of the parents' cached vectors, or by a
+// postings rescan on the reference path. The union reads no matrix data,
+// so it runs in process in every deployment.
 func (e *engine) mergeVector(a, b *node, items []int, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	if e.incremental {
-		return e.exec.UnionVectors(e.reqCtx, a.ids, a.vals, e.vectorScale(a), b.ids, b.vals, e.vectorScale(b), dstIDs, dstVals)
+		return wtp.UnionVectors(a.ids, a.vals, e.vectorScale(a), b.ids, b.vals, e.vectorScale(b), dstIDs, dstVals)
 	}
 	return e.w.BundleVector(items, e.params.Theta, dstIDs, dstVals)
+}
+
+// mergePart is node n as one side of a candidate merge for the mixed
+// pricing kernel: its cached vector at the merged bundle's scale and its
+// per-consumer market state.
+func (e *engine) mergePart(n *node) pricing.MergePart {
+	return pricing.MergePart{IDs: n.ids, Vals: n.vals, Scale: e.vectorScale(n), Pay: n.pay, Surplus: n.surp, Cost: n.cost, ESurplus: n.esur}
 }
 
 // evalMerge prices the merge of a and b entirely in ctx's scratch, so
@@ -281,9 +274,9 @@ func (e *engine) mergeVector(a, b *node, items []int, dstIDs []int, dstVals []fl
 func (e *engine) evalMerge(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.UtilityQuote, gain float64, ok bool) {
 	sc := ctx.sc
 	sc.items = mergeItemsInto(sc.items, a.items, b.items)
-	sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
 	obj := e.objective(sc.items)
 	if e.params.Strategy == Pure {
+		sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
 		q = e.pr.PriceUtilityIn(ctx.psc, sc.vals, obj)
 		gain = q.Utility - a.util - b.util
 		return q, gain, keepAll || gain > minGain
@@ -291,9 +284,18 @@ func (e *engine) evalMerge(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.
 	// Mixed: price the new bundle against the combined current state of
 	// both subtrees (their offers are item-disjoint, so states add), within
 	// the paper's price window (max component price, sum of component
-	// prices).
-	sc.combineState(a, b)
-	mq := e.priceMixed(ctx.psc, sc, sc.vals, max(a.quote.Price, b.quote.Price), a.quote.Price+b.quote.Price, obj.UnitCost)
+	// prices). The kernel forms the union and the combined state as it
+	// prices; the reference path builds both in scratch first.
+	lo, hi := max(a.quote.Price, b.quote.Price), a.quote.Price+b.quote.Price
+	var mq pricing.MixedQuote
+	if e.incremental {
+		pa, pb := e.mergePart(a), e.mergePart(b)
+		mq = e.pr.PriceMixedMerge(ctx.psc, &pa, &pb, lo, hi, obj)
+	} else {
+		sc.ids, sc.vals = e.mergeVector(a, b, sc.items, sc.ids, sc.vals)
+		sc.combineState(a, b)
+		mq = e.priceMixed(ctx.psc, sc, sc.vals, lo, hi, obj.UnitCost)
+	}
 	gain = mq.Utility - mq.BaselineUtility
 	if !mq.Feasible || gain <= minGain {
 		return q, 0, false
@@ -303,7 +305,7 @@ func (e *engine) evalMerge(ctx *workerCtx, a, b *node, keepAll bool) (q pricing.
 
 // merge builds the merged node of a and b from candidate r, for a merge an
 // algorithm takes: the node takes r's identity, and its pricing is r's
-// quote. The union is re-derived through the stripe executor and, under
+// quote. The union is re-derived from the parents' vectors and, under
 // mixed bundling, every consumer re-resolves at the quoted price; pricing
 // is deterministic, so the node is exactly the candidate evalMerge priced.
 func (e *engine) merge(a, b *node, r pairResult) *node {

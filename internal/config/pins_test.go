@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"bundling/internal/dataset"
@@ -128,6 +129,46 @@ func TestMixedResolveAllocs(t *testing.T) {
 		t.Logf("mixed %s re-solve: %.0f allocs/op", tc.alg.Name(), allocs)
 		if allocs > tc.bound {
 			t.Errorf("mixed %s re-solve: %.0f allocs/op, want at most %.0f", tc.alg.Name(), allocs, tc.bound)
+		}
+	}
+}
+
+// TestMixedCandidateAllocs: pricing a mixed candidate merge on a warm
+// evaluation context allocates nothing, for two singletons and for a
+// merged bundle beside a singleton (θ ≠ 0 gives each its own scale).
+func TestMixedCandidateAllocs(t *testing.T) {
+	params := DefaultParams()
+	params.Strategy = Mixed
+	params.Theta = -0.1
+	s, err := NewSolver(smallRandomMatrix(t, 80, 10, 4), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := s.newEngine()
+	defer e.release()
+	nodes := e.singletons()
+	var merged *node
+	for u := 0; u < len(nodes) && merged == nil; u++ {
+		for v := u + 1; v < len(nodes) && merged == nil; v++ {
+			if q, gain, ok := e.evalMerge(e.ctx, nodes[u], nodes[v], false); ok {
+				merged = e.merge(nodes[u], nodes[v], pairResult{u: u, v: v, q: q, gain: gain})
+			}
+		}
+	}
+	if merged == nil {
+		t.Fatal("no gaining pair to merge")
+	}
+	other := nodes[0]
+	for _, n := range nodes {
+		if !slices.Contains(merged.items, n.items[0]) {
+			other = n
+		}
+	}
+	for _, pair := range [][2]*node{{nodes[0], nodes[1]}, {merged, other}} {
+		a, b := pair[0], pair[1]
+		e.evalMerge(e.ctx, a, b, true)
+		if n := testing.AllocsPerRun(20, func() { e.evalMerge(e.ctx, a, b, true) }); n != 0 {
+			t.Errorf("candidate %v + %v: %.1f allocations, want 0", a.items, b.items, n)
 		}
 	}
 }

@@ -278,21 +278,26 @@ func TestRoundMemoRunToEnd(t *testing.T) {
 	}
 }
 
-// cancelExec is the local stripe executor with a fuse: the union that
-// brings the count to after cancels the run's context, so round one is cut
-// off mid-pass at a deterministic point.
-type cancelExec struct {
-	StripeExecutor
+// fuseCtx is a context that cancels itself at its after-th Err check, so a
+// run is cut off at a deterministic point: at Parallelism 1 the serial path
+// of price checks Err once per job it prices.
+type fuseCtx struct {
+	context.Context
+	cancel context.CancelFunc
 	calls  atomic.Int64
 	after  int64
-	cancel context.CancelFunc
 }
 
-func (c *cancelExec) UnionVectors(ctx context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	if c.calls.Add(1) == c.after && c.cancel != nil {
+func newFuseCtx(after int64) *fuseCtx {
+	ctx, cancel := context.WithCancel(context.Background())
+	return &fuseCtx{Context: ctx, cancel: cancel, after: after}
+}
+
+func (c *fuseCtx) Err() error {
+	if c.calls.Add(1) == c.after {
 		c.cancel()
 	}
-	return c.StripeExecutor.UnionVectors(ctx, aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
+	return c.Context.Err()
 }
 
 // TestRoundMemoCanceledFirstSolve cancels a session's first solve partway
@@ -304,12 +309,10 @@ func TestRoundMemoCanceledFirstSolve(t *testing.T) {
 	params.Strategy = Mixed
 	params.Parallelism = 1
 	w := equivMatrix(t, 61, 60, 14, 0.35)
-	fuse := &cancelExec{after: 20}
-	s, err := NewSolverOn(w, params, fuse)
+	s, err := NewSolver(w, params)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fuse.StripeExecutor = localExec{s.sh}
 	cells := deltaBatch(rand.New(rand.NewSource(62)), w, 5)
 	ref := replay(t, w, cells)
 	for gen, step := range []struct {
@@ -317,17 +320,14 @@ func TestRoundMemoCanceledFirstSolve(t *testing.T) {
 		path string
 	}{{w, "build"}, {ref, "repair"}} {
 		before := s.round1.Load()
-		ctx, cancel := context.WithCancel(context.Background())
-		fuse.calls.Store(0)
-		fuse.cancel = cancel
-		_, err := s.SolveContext(ctx, GreedyAlgorithm())
-		cancel()
-		fuse.cancel = nil
+		fuse := newFuseCtx(20)
+		_, err := s.SolveContext(fuse, GreedyAlgorithm())
+		fuse.cancel()
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("generation %d: canceled solve returned %v", gen, err)
 		}
 		if fuse.calls.Load() < fuse.after {
-			t.Fatalf("generation %d: fuse never blew (%d unions)", gen, fuse.calls.Load())
+			t.Fatalf("generation %d: fuse never blew (%d Err checks)", gen, fuse.calls.Load())
 		}
 		if after := s.round1.Load(); after != before {
 			t.Fatalf("generation %d: canceled solve replaced the memo", gen)
@@ -338,10 +338,9 @@ func TestRoundMemoCanceledFirstSolve(t *testing.T) {
 			t.Errorf("generation %d after cancel: round1=%s, want %s", gen, path, step.path)
 		}
 		if gen == 0 {
-			if s, err = s.ApplyDelta(cells, fuse); err != nil {
+			if s, err = s.ApplyDelta(cells, nil); err != nil {
 				t.Fatal(err)
 			}
-			fuse.StripeExecutor = localExec{s.sh}
 		}
 	}
 }

@@ -57,8 +57,8 @@ type Solver struct {
 // each stripe span's share of the work to the remote worker owning it and
 // concatenates the per-span results in stripe order. Implementations must be
 // equivalent to the shard reductions (within float re-association) and safe
-// for concurrent use — parallel candidate evaluation calls them from many
-// goroutines.
+// for concurrent use — concurrent solves and evaluates of one session share
+// them.
 // Every method receives the run's request context: a distributed executor
 // derives its per-RPC deadlines from it, so a canceled caller aborts the
 // fan-out instead of letting retries outlive the request. Implementations
@@ -74,9 +74,6 @@ type StripeExecutor interface {
 	// executor, however many sets there are. The returned slices are
 	// fresh and aligned with sets.
 	BundleVectors(ctx context.Context, sets [][]int, thetas []float64) ([][]int, [][]float64)
-	// UnionVectors derives a merged bundle's vector from two cached parent
-	// vectors; see wtp.Shard.UnionVectors.
-	UnionVectors(ctx context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64)
 }
 
 // localExec adapts the local *wtp.Shard to the StripeExecutor contract: the
@@ -96,10 +93,6 @@ func (l localExec) BundleVectors(_ context.Context, sets [][]int, thetas []float
 	return ids, vals
 }
 
-func (l localExec) UnionVectors(_ context.Context, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	return l.sh.UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
-}
-
 // NewSolver validates params, indexes the matrix (striped shard + priced
 // singletons) and returns a session ready for concurrent solves. The matrix
 // must not be mutated while the Solver is in use; the shard layer turns
@@ -109,9 +102,11 @@ func NewSolver(w *wtp.Matrix, params Params) (*Solver, error) {
 }
 
 // NewSolverOn is NewSolver with a pluggable stripe executor: the session's
-// vector construction — singleton indexing, candidate-merge unions,
-// evaluate-path bundle vectors — runs on exec instead of the local shard.
-// A nil exec selects the shard, making NewSolverOn(w, p, nil) identical to
+// bundle vectors built from the postings — mined itemsets and
+// evaluate-path offers — run on exec instead of the local shard.
+// Singletons index from the local shard, and a candidate merge's vector is
+// the union of its parents' cached vectors, formed in process. A nil exec
+// selects the shard, making NewSolverOn(w, p, nil) identical to
 // NewSolver(w, p).
 func NewSolverOn(w *wtp.Matrix, params Params, exec StripeExecutor) (*Solver, error) {
 	if err := params.Validate(); err != nil {
@@ -273,7 +268,7 @@ type engine struct {
 	ctx    *workerCtx      // the run's serial-path context
 	k      int             // effective bundle-size cap (Optimal2 overrides per run)
 	// incremental routes candidate-merge vector construction through the
-	// parents' cached vectors (striped union) instead of a postings rescan;
+	// parents' cached vectors (their union) instead of a postings rescan;
 	// the equivalence tests set Params.referenceEval to diff the two paths.
 	incremental bool
 	// borrowed are the extra worker contexts this run's evalPairs rounds

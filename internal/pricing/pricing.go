@@ -59,6 +59,8 @@ type Scratch struct {
 	// mix holds the deterministic PriceMixed sweep's per-level buckets,
 	// grown on the first mixed call so pure-only scratch stays small.
 	mix []mixLevel
+	// off is the offer PriceMixedMerge builds where it cannot sweep.
+	off MixedOffer
 }
 
 // NewScratch returns a Scratch pre-sized for T price levels. Buffers grow on
@@ -316,23 +318,22 @@ func (p *Pricer) PriceMixedIn(sc *Scratch, off MixedOffer) MixedQuote {
 	if (off.Obj == Objective{}) {
 		off.Obj = RevenueObjective()
 	}
-	var q MixedQuote
+	if p.model.Deterministic() && off.Hi > off.Lo {
+		s := p.startSweep(sc, off.Lo, off.Hi, off.BundleCost)
+		for j, wb := range off.WB {
+			p.binMixed(&s, wb, off.CurPay[j], off.CurSurplus[j], at0(off.CurCost, j), at0(off.CurESurplus, j))
+		}
+		return s.best(off.Obj)
+	}
 	var basePay, baseCost, baseSur float64
 	for j, pay := range off.CurPay {
 		basePay += pay
 		baseCost += at0(off.CurCost, j)
 		baseSur += at0(off.CurESurplus, j)
 	}
-	q.Baseline = basePay
-	q.Revenue = basePay
-	q.BaselineUtility = off.Obj.ProfitWeight*(basePay-baseCost) + (1-off.Obj.ProfitWeight)*baseSur
-	q.Utility = q.BaselineUtility
-	q.Surplus = baseSur
+	q := baselineQuote(basePay, baseCost, baseSur, off.Obj)
 	if off.Hi <= off.Lo {
 		return q // degenerate window (e.g. a free component)
-	}
-	if p.model.Deterministic() {
-		return p.priceMixedStep(sc, off, q, basePay, baseCost, baseSur)
 	}
 	T := p.levels
 	for t := 1; t <= T; t++ {
@@ -349,6 +350,82 @@ func (p *Pricer) PriceMixedIn(sc *Scratch, off MixedOffer) MixedQuote {
 	return q
 }
 
+// baselineQuote is the quote of an offer with no bundle on sale, from the
+// consumers' summed current payment, serving cost and surplus.
+func baselineQuote(basePay, baseCost, baseSur float64, obj Objective) MixedQuote {
+	q := MixedQuote{Baseline: basePay, Revenue: basePay, Surplus: baseSur}
+	q.BaselineUtility = obj.ProfitWeight*(basePay-baseCost) + (1-obj.ProfitWeight)*baseSur
+	q.Utility = q.BaselineUtility
+	return q
+}
+
+// MergePart is one of the two item-disjoint offer subtrees a candidate
+// mixed-bundling merge combines: its interested consumers (ascending), its
+// bundle WTP per consumer, and the consumers' state under the offers the
+// subtree keeps on sale (see MixedOffer). Scale lifts Vals to the merged
+// bundle's Eq. 1 terms, as the scale argument of wtp.UnionVectors does.
+// Every slice is aligned with IDs.
+type MergePart struct {
+	IDs                          []int
+	Vals                         []float64
+	Scale                        float64
+	Pay, Surplus, Cost, ESurplus []float64
+}
+
+// PriceMixedMerge prices the bundle that merges parts a and b, with both
+// parts' offers kept on sale, within the price window (lo, hi) under obj.
+// Its quote is bit for bit PriceMixedIn's for the offer whose WB is the
+// union of the parts' vectors (wtp.UnionVectors' arithmetic), whose
+// per-consumer state is the parts' state summed per consumer, and whose
+// BundleCost is obj.UnitCost. Under the step model it gets there in one
+// pass over the parts' consumer lists, binning each consumer of the union
+// as it is formed, so it writes no per-consumer array; otherwise it builds
+// that offer in sc and prices it.
+func (p *Pricer) PriceMixedMerge(sc *Scratch, a, b *MergePart, lo, hi float64, obj Objective) MixedQuote {
+	bundleCost := obj.UnitCost
+	if (obj == Objective{}) {
+		obj = RevenueObjective()
+	}
+	sweep := p.model.Deterministic() && hi > lo
+	var s mixSweep
+	if sweep {
+		s = p.startSweep(sc, lo, hi, bundleCost)
+	}
+	o := &sc.off
+	*o = MixedOffer{WB: o.WB[:0], CurPay: o.CurPay[:0], CurSurplus: o.CurSurplus[:0], CurCost: o.CurCost[:0],
+		CurESurplus: o.CurESurplus[:0], Lo: lo, Hi: hi, BundleCost: bundleCost, Obj: obj}
+	for i, j := 0, 0; i < len(a.IDs) || j < len(b.IDs); {
+		var wb, pay, surp, cost, esur float64
+		switch {
+		case j == len(b.IDs) || (i < len(a.IDs) && a.IDs[i] < b.IDs[j]):
+			wb, pay, surp, cost, esur = a.Scale*a.Vals[i], a.Pay[i], a.Surplus[i], a.Cost[i], a.ESurplus[i]
+			i++
+		case i == len(a.IDs) || a.IDs[i] > b.IDs[j]:
+			wb, pay, surp, cost, esur = b.Scale*b.Vals[j], b.Pay[j], b.Surplus[j], b.Cost[j], b.ESurplus[j]
+			j++
+		default:
+			if a.Scale == b.Scale {
+				wb = a.Scale * (a.Vals[i] + b.Vals[j])
+			} else {
+				wb = a.Scale*a.Vals[i] + b.Scale*b.Vals[j]
+			}
+			pay, surp, cost, esur = a.Pay[i]+b.Pay[j], a.Surplus[i]+b.Surplus[j], a.Cost[i]+b.Cost[j], a.ESurplus[i]+b.ESurplus[j]
+			i++
+			j++
+		}
+		if sweep {
+			p.binMixed(&s, wb, pay, surp, cost, esur)
+			continue
+		}
+		o.WB, o.CurPay, o.CurSurplus = append(o.WB, wb), append(o.CurPay, pay), append(o.CurSurplus, surp)
+		o.CurCost, o.CurESurplus = append(o.CurCost, cost), append(o.CurESurplus, esur)
+	}
+	if sweep {
+		return s.best(obj)
+	}
+	return p.PriceMixedIn(sc, *o)
+}
+
 // mixLevel is one price level of the deterministic PriceMixed sweep.
 type mixLevel struct {
 	pb float64 // the level's bundle price
@@ -360,100 +437,120 @@ type mixLevel struct {
 	tieRev, tieCost, tieSur, tieAdopt float64
 }
 
-// priceMixedStep evaluates all T bundle-price levels in O(m + T) under the
-// deterministic step model, replacing the O(m·T) per-level rescan of
-// offerOutcome. Under the step rule a consumer switches to the bundle
-// exactly when its price falls more than ε below their threshold
-// τ = α·wb − current surplus. Each consumer is hashed into the bucket of
-// the highest level whose price it clears by more than 2ε, and a top-down
-// sweep keeps suffix sums over the buckets: the switcher aggregates of each
-// level. Consumers whose τ lies within 2ε of a level are resolved at that
-// level individually with ResolveSwitch, keeping the result exactly
-// faithful to the reference evaluation.
-func (p *Pricer) priceMixedStep(sc *Scratch, off MixedOffer, q MixedQuote, basePay, baseCost, baseSur float64) MixedQuote {
-	const eps = adoption.DefaultEpsilon
+// mixSweep is one deterministic mixed-offer evaluation under way, in
+// O(m + T) instead of the O(m·T) per-level rescan of offerOutcome: the
+// level buckets (in the caller's Scratch), the window's geometry and the
+// baseline sums of the consumers binned so far. Under the step rule a
+// consumer switches to the bundle exactly when its price falls more than ε
+// below their threshold τ = α·wb − current surplus. binMixed hashes each
+// consumer into the bucket of the highest level whose price it clears by
+// more than 2ε, or resolves it with ResolveSwitch at each level within 2ε
+// of τ; best's top-down sweep keeps suffix sums over the buckets.
+type mixSweep struct {
+	lv                         []mixLevel
+	lo, scale, alpha, unitCost float64
+	basePay, baseCost, baseSur float64
+}
+
+// startSweep opens a sweep over the window (lo, hi), lo < hi, for a bundle
+// whose unit cost is unitCost.
+func (p *Pricer) startSweep(sc *Scratch, lo, hi, unitCost float64) mixSweep {
 	T := p.levels
 	if len(sc.mix) < T+1 {
 		sc.mix = make([]mixLevel, T+1)
 	}
 	lv := sc.mix[:T+1]
 	for t := range lv {
-		lv[t] = mixLevel{pb: off.Lo + (off.Hi-off.Lo)*float64(t)/float64(T+1)}
+		lv[t] = mixLevel{pb: lo + (hi-lo)*float64(t)/float64(T+1)}
+	}
+	return mixSweep{lv: lv, lo: lo, scale: float64(T+1) / (hi - lo), alpha: p.model.Alpha(), unitCost: unitCost}
+}
+
+// binMixed adds one consumer to the sweep: its bundle WTP wb and its
+// current payment, surplus, serving cost and expected surplus. The state
+// joins the baseline sums in the order consumers are added.
+func (p *Pricer) binMixed(s *mixSweep, wb, pay, surp, cost, esur float64) {
+	const eps = adoption.DefaultEpsilon
+	s.basePay += pay
+	s.baseCost += cost
+	s.baseSur += esur
+	ewb := s.alpha * wb
+	if ewb <= 0 {
+		return // never switches; payment already in the baseline
 	}
 	// Level prices are non-decreasing in t, rounding included, so a
 	// consumer definitely switches (τ > pb_t + 2ε) at every level up to its
 	// bucket level k and at none above; the levels above k where τ is still
 	// within 2ε of pb_t form its tie window.
-	scale := float64(T+1) / (off.Hi - off.Lo)
-	alpha := p.model.Alpha()
-	for j, wb := range off.WB {
-		ewb := alpha * wb
-		if ewb <= 0 {
-			continue // never switches; payment already in basePay
-		}
-		// The classification threshold clamps negative current surplus at
-		// zero: for surplus < 0 the binding ResolveSwitch constraint is
-		// bs ≥ -ε (price at most ε above the effective WTP), not the
-		// surplus comparison, so the switch boundary is ewb itself. The
-		// tie window below still sees the true surplus via ResolveSwitch.
-		surp := off.CurSurplus[j]
-		tauSurp := surp
-		if tauSurp < 0 {
-			tauSurp = 0
-		}
-		tau := ewb - tauSurp
-		// Estimate k arithmetically, then settle it by stepping with the
-		// predicate itself, so float rounding in the estimate cannot
-		// change which levels a consumer clears.
-		k := 0
-		if x := (tau - 2*eps - off.Lo) * scale; x >= float64(T) {
-			k = T
-		} else if x > 0 {
-			k = int(x)
-		}
-		for k < T && tau > lv[k+1].pb+2*eps {
-			k++
-		}
-		for k > 0 && !(tau > lv[k].pb+2*eps) {
-			k--
-		}
-		pay, cost, esur := off.CurPay[j], at0(off.CurCost, j), at0(off.CurESurplus, j)
-		if k > 0 {
-			b := &lv[k]
-			b.cnt++
-			b.pay += pay
-			b.cost += cost
-			b.esur += esur
-			b.ewb += ewb
-		}
-		for t := k + 1; t <= T && tau >= lv[t].pb-2*eps; t++ {
-			b := &lv[t]
-			bpay, prob, switched := p.ResolveSwitch(wb, pay, surp, b.pb)
-			if switched {
-				b.tieRev += bpay - pay
-				b.tieCost += off.BundleCost*prob - cost
-				b.tieSur -= esur
-				if s := ewb - b.pb; s > 0 {
-					b.tieSur += s * prob
-				}
-				b.tieAdopt += prob
+	//
+	// The classification threshold clamps negative current surplus at
+	// zero: for surplus < 0 the binding ResolveSwitch constraint is
+	// bs ≥ -ε (price at most ε above the effective WTP), not the surplus
+	// comparison, so the switch boundary is ewb itself. The tie window
+	// below still sees the true surplus via ResolveSwitch.
+	tauSurp := surp
+	if tauSurp < 0 {
+		tauSurp = 0
+	}
+	tau := ewb - tauSurp
+	lv := s.lv
+	T := len(lv) - 1
+	// Estimate k arithmetically, then settle it by stepping with the
+	// predicate itself, so float rounding in the estimate cannot change
+	// which levels a consumer clears.
+	k := 0
+	if x := (tau - 2*eps - s.lo) * s.scale; x >= float64(T) {
+		k = T
+	} else if x > 0 {
+		k = int(x)
+	}
+	for k < T && tau > lv[k+1].pb+2*eps {
+		k++
+	}
+	for k > 0 && !(tau > lv[k].pb+2*eps) {
+		k--
+	}
+	if k > 0 {
+		b := &lv[k]
+		b.cnt++
+		b.pay += pay
+		b.cost += cost
+		b.esur += esur
+		b.ewb += ewb
+	}
+	for t := k + 1; t <= T && tau >= lv[t].pb-2*eps; t++ {
+		b := &lv[t]
+		bpay, prob, switched := p.ResolveSwitch(wb, pay, surp, b.pb)
+		if switched {
+			b.tieRev += bpay - pay
+			b.tieCost += s.unitCost*prob - cost
+			b.tieSur -= esur
+			if st := ewb - b.pb; st > 0 {
+				b.tieSur += st * prob
 			}
+			b.tieAdopt += prob
 		}
 	}
+}
+
+// best runs the sweep top-down over the binned levels and returns the
+// quote of the best one under obj, or the baseline when no level beats it.
+func (s *mixSweep) best(obj Objective) MixedQuote {
+	q := baselineQuote(s.basePay, s.baseCost, s.baseSur, obj)
 	// The sweep runs top-down, so keeping a level that ties the best seen
 	// selects the reference loop's choice: the first maximum ascending.
 	var cnt, sumPay, sumCost, sumESur, sumEwb float64
-	for t := T; t >= 1; t-- {
-		b := &lv[t]
+	for t := len(s.lv) - 1; t >= 1; t-- {
+		b := &s.lv[t]
 		cnt += b.cnt
 		sumPay += b.pay
 		sumCost += b.cost
 		sumESur += b.esur
 		sumEwb += b.ewb
-		rev := b.pb*cnt + (basePay - sumPay) + b.tieRev
-		cost := off.BundleCost*cnt + (baseCost - sumCost) + b.tieCost
-		sur := (sumEwb - b.pb*cnt) + (baseSur - sumESur) + b.tieSur
-		util := off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
+		rev := b.pb*cnt + (s.basePay - sumPay) + b.tieRev
+		cost := s.unitCost*cnt + (s.baseCost - sumCost) + b.tieCost
+		sur := (sumEwb - b.pb*cnt) + (s.baseSur - sumESur) + b.tieSur
+		util := obj.ProfitWeight*(rev-cost) + (1-obj.ProfitWeight)*sur
 		if util > q.Utility || (q.Feasible && util == q.Utility) {
 			q.Price, q.Revenue, q.Adopters = b.pb, rev, cnt+b.tieAdopt
 			q.Utility, q.Surplus = util, sur

@@ -879,3 +879,104 @@ func TestStoreReplayStopsAtBadFrame(t *testing.T) {
 		})
 	}
 }
+
+// TestStoreReclaimsCrashTemps: a crash inside an upload's writeAtomic, after
+// the temp write and before the rename, leaves the snapshot's temp file on
+// disk. The next open reclaims it, so DiskBytes counts none, and an upload
+// and a Close after it leave none. In a running store a compaction pass
+// leaves every temp file alone, above the root or below it: each belongs to
+// a write in flight, and Put lets an older re-upload land after a newer one.
+func TestStoreReclaimsCrashTemps(t *testing.T) {
+	mfs := newMemFS()
+	st, err := openStore("data", mfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopCompactor(st)
+	w := bundling.NewMatrix(4, 3)
+	w.MustSet(0, 0, 5)
+	w.MustSet(1, 2, 7)
+	rec := func(gen int) CorpusRecord {
+		return CorpusRecord{ID: "a", Generation: gen, Matrix: bundling.NewMatrixDoc(w), Entries: w.Entries()}
+	}
+	if err := st.Put(rec(1)); err != nil {
+		t.Fatal(err)
+	}
+	mfs.fault = func(op, name string) error {
+		if op == "rename" && name == st.recordPath("a", 2) {
+			mfs.crashed = true // called under mfs.mu
+			return errCrashed
+		}
+		return nil
+	}
+	if err := st.Put(rec(2)); !errors.Is(err, errCrashed) {
+		t.Fatalf("the generation-2 upload returned %v, want the crash", err)
+	}
+	_ = st.Close() // the crashed disk takes nothing
+	img := mfs.image(keepAll, true)
+	temps := func() []string {
+		t.Helper()
+		entries, err := img.ReadDir(filepath.Join("data", "corpora"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				out = append(out, e.Name())
+			}
+		}
+		return out
+	}
+	if got := temps(); len(got) != 1 {
+		t.Fatalf("the crash left temp files %v, want the generation-2 snapshot's", got)
+	}
+	reopen := func() *Store {
+		t.Helper()
+		st, err := openStore("data", img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stopCompactor(st)
+		return st
+	}
+	st = reopen()
+	snap, err := img.ReadFile(st.recordPath("a", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := img.ReadFile(st.manifestPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.DiskBytes(), int64(len(snap)+len(man)); got != want {
+		t.Errorf("DiskBytes after open = %d, want the snapshot and the manifest, %d", got, want)
+	}
+	if err := st.Put(rec(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := temps(); len(got) != 0 {
+		t.Fatalf("temp files %v remain after an upload and Close", got)
+	}
+
+	st = reopen()
+	defer st.Close()
+	for _, gen := range []int{2, 4} { // an older re-upload's and a newer one's
+		f, err := img.OpenFile(st.recordPath("a", gen)+".tmp", os.O_WRONLY|os.O_CREATE)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte("in flight"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.compactNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := temps(); len(got) != 2 {
+		t.Fatalf("a compaction pass left temp files %v, want both writes in flight", got)
+	}
+}

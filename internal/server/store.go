@@ -59,7 +59,8 @@ import (
 // later frames to the new root's log, and only then points the manifest at
 // the new root; it also reclaims the snapshots and logs below a root and
 // the files of deleted corpora, which are dead weight on disk until then,
-// never served.
+// never served. The temp files of writes a crash cut short are reclaimed at
+// the next open.
 //
 // A Store is safe for concurrent use. No store-wide lock is held across a
 // PATCH's fsync: appends to one corpus's log serialize on that corpus's
@@ -220,6 +221,7 @@ func openStore(dir string, fsys storeFS) (*Store, error) {
 	if err := fsys.MkdirAll(filepath.Join(dir, "corpora")); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
+	s.reclaimTemps()
 	for id, root := range s.man.Live {
 		c, err := s.replay(id, root)
 		if err != nil {
@@ -262,6 +264,23 @@ func (s *Store) replay(id string, root int) (*chain, error) {
 		}
 	}
 	return c, nil
+}
+
+// reclaimTemps removes the temp files that a crash inside writeAtomic left
+// in the data and records directories. It runs before any writer of this
+// store starts, so every temp file is such a leftover. Compaction leaves
+// temp files alone: in a running store each belongs to a write in flight,
+// of any generation, since Put lets an older re-upload land after a newer
+// one.
+func (s *Store) reclaimTemps() {
+	for _, dir := range []string{s.dir, filepath.Join(s.dir, "corpora")} {
+		entries, _ := s.fs.ReadDir(dir)
+		for _, e := range entries {
+			if !e.IsDir() && strings.HasSuffix(e.Name(), tmpExt) {
+				_ = s.fs.Remove(filepath.Join(dir, e.Name())) // a failure leaves it for the next open
+			}
+		}
+	}
 }
 
 // Dir returns the store's data directory.
@@ -736,10 +755,12 @@ func (s *Store) Len() int {
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
 // The record file extensions: a snapshot is a codec record envelope, a log
-// a sequence of frames.
+// a sequence of frames. writeAtomic writes a file under its name plus tmpExt
+// first.
 const (
 	binExt = ".bin"
 	logExt = ".log"
+	tmpExt = ".tmp"
 )
 
 // recordPath names the snapshot record of (corpus, generation). The name
@@ -837,7 +858,7 @@ func (s *Store) saveManifestLocked(m manifest) error {
 // s.mu, a snapshot by its upload or, serialized, by compaction), so the
 // temp name derives from the path.
 func (s *Store) writeAtomic(path string, buf []byte) error {
-	tmp := path + ".tmp"
+	tmp := path + tmpExt
 	f, err := s.fs.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC)
 	if err != nil {
 		return err
@@ -964,8 +985,8 @@ func (s *Store) fold(c *chain) error {
 // before the manifest, so a snapshot-membership rule would race a
 // concurrent Put and delete a record the manifest is about to point at.
 // Comparing generations is monotonic — a stale snapshot can only
-// under-delete, and the next pass finishes the job. Unrecognized files are
-// left alone. Passes never overlap: they run on the compactor goroutine,
+// under-delete, and the next pass finishes the job. Temp files (see
+// reclaimTemps) and unrecognized files are left alone. Passes never overlap: they run on the compactor goroutine,
 // and once more in Close after it exits.
 func (s *Store) compactNow() error {
 	s.mu.Lock()

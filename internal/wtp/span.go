@@ -184,11 +184,3 @@ func (sp *SpanStore) Items() int { return sp.items }
 func (sp *SpanStore) BundleVector(items []int, theta float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
 	return bundleStripes(sp.stripes, items, theta, dstIDs, dstVals)
 }
-
-// UnionVectors is the span's contribution to Shard.UnionVectors: it merges
-// the span-restricted slices of two cached consumer vectors, cut and merged
-// per stripe exactly as the shard does, so per-span results concatenate to
-// the single-machine union.
-func (sp *SpanStore) UnionVectors(aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	return unionStripes(sp.stripes, aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
-}

@@ -75,45 +75,6 @@ func TestSpanBundleVectorEquivalence(t *testing.T) {
 	}
 }
 
-// TestSpanUnionVectorsEquivalence: cutting two cached vectors at span
-// boundaries, merging per span, and concatenating must equal the shard's
-// union exactly.
-func TestSpanUnionVectorsEquivalence(t *testing.T) {
-	w := randomSpanMatrix(t, 211, 17, 0.25, 2)
-	sh := mustShard(t, w, 16)
-	for _, spans := range []int{1, 2, 4} {
-		stores := buildStores(t, sh, spans)
-		rng := rand.New(rand.NewSource(int64(spans)))
-		for trial := 0; trial < 15; trial++ {
-			aIDs, aVals := sh.BundleVector(randItems(rng, w.Items()), 0, nil, nil)
-			bIDs, bVals := sh.BundleVector(randItems(rng, w.Items()), 0, nil, nil)
-			sa := []float64{1, 1.3, 0.8}[trial%3]
-			sb := []float64{1, 1, 1.1}[trial%3]
-			wantIDs, wantVals := sh.UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, nil, nil)
-			var gotIDs []int
-			var gotVals []float64
-			ai, bi := 0, 0
-			for _, sp := range stores {
-				_, hi := sp.Bounds()
-				a1, b1 := ai, bi
-				for a1 < len(aIDs) && aIDs[a1] < hi {
-					a1++
-				}
-				for b1 < len(bIDs) && bIDs[b1] < hi {
-					b1++
-				}
-				ids, vals := sp.UnionVectors(aIDs[ai:a1], aVals[ai:a1], sa, bIDs[bi:b1], bVals[bi:b1], sb, nil, nil)
-				gotIDs = append(gotIDs, ids...)
-				gotVals = append(gotVals, vals...)
-				ai, bi = a1, b1
-			}
-			if !equalInts(gotIDs, wantIDs) || !equalFloats(gotVals, wantVals) {
-				t.Fatalf("spans %d trial %d: union mismatch", spans, trial)
-			}
-		}
-	}
-}
-
 // TestSpanDocValidation: corrupt documents must be rejected, not panic.
 func TestSpanDocValidation(t *testing.T) {
 	w := randomSpanMatrix(t, 40, 5, 0.3, 3)

@@ -43,8 +43,8 @@ func (st *Stripe) Entries() int { return len(st.ids) }
 // into fixed-size stripes, each holding columnar per-stripe postings.
 // Because stripes partition the consumers in ascending-id order, any
 // per-consumer aggregate over the whole matrix is the in-order concatenation
-// (or sum) of independent per-stripe aggregates; BundleVector and
-// UnionVectors below reduce over stripes exactly that way.
+// (or sum) of independent per-stripe aggregates; BundleVector below reduces
+// over stripes exactly that way.
 //
 // A Shard is built once (Matrix.Shard) and is safe for concurrent use. It
 // snapshots the matrix at construction: mutating the matrix afterwards
@@ -279,66 +279,6 @@ func siftDownStripe(h []stripeCursor, i int) {
 		h[i], h[min] = h[min], h[i]
 		i = min
 	}
-}
-
-// UnionVectors is the striped reduction of the package-level UnionVectors:
-// the two cached consumer vectors are cut at stripe boundaries and each
-// stripe's span merged independently, concatenating in consumer order. The
-// element-wise arithmetic is identical to the flat merge, so results agree
-// exactly; the stripe spans are what a distributed reducer would ship to the
-// worker owning each stripe.
-func (sh *Shard) UnionVectors(aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	sh.check()
-	return unionStripes(sh.stripes, aIDs, aVals, sa, bIDs, bVals, sb, dstIDs, dstVals)
-}
-
-// unionStripes cuts two consumer vectors at the stripes' boundaries and
-// merges them stripe by stripe, the body shared by Shard.UnionVectors and
-// SpanStore.UnionVectors.
-func unionStripes(stripes []Stripe, aIDs []int, aVals []float64, sa float64, bIDs []int, bVals []float64, sb float64, dstIDs []int, dstVals []float64) ([]int, []float64) {
-	dstIDs = dstIDs[:0]
-	dstVals = dstVals[:0]
-	i, j := 0, 0
-	for s := range stripes {
-		hi := stripes[s].hi
-		if i >= len(aIDs) && j >= len(bIDs) {
-			break
-		}
-		for i < len(aIDs) && j < len(bIDs) && aIDs[i] < hi && bIDs[j] < hi {
-			switch {
-			case aIDs[i] < bIDs[j]:
-				dstIDs = append(dstIDs, aIDs[i])
-				dstVals = append(dstVals, sa*aVals[i])
-				i++
-			case aIDs[i] > bIDs[j]:
-				dstIDs = append(dstIDs, bIDs[j])
-				dstVals = append(dstVals, sb*bVals[j])
-				j++
-			default:
-				dstIDs = append(dstIDs, aIDs[i])
-				if sa == sb {
-					// Match the flat merge's factored rounding (see
-					// UnionVectors).
-					dstVals = append(dstVals, sa*(aVals[i]+bVals[j]))
-				} else {
-					dstVals = append(dstVals, sa*aVals[i]+sb*bVals[j])
-				}
-				i++
-				j++
-			}
-		}
-		for i < len(aIDs) && aIDs[i] < hi && (j >= len(bIDs) || bIDs[j] >= hi) {
-			dstIDs = append(dstIDs, aIDs[i])
-			dstVals = append(dstVals, sa*aVals[i])
-			i++
-		}
-		for j < len(bIDs) && bIDs[j] < hi && (i >= len(aIDs) || aIDs[i] >= hi) {
-			dstIDs = append(dstIDs, bIDs[j])
-			dstVals = append(dstVals, sb*bVals[j])
-			j++
-		}
-	}
-	return dstIDs, dstVals
 }
 
 // ForEachStripe runs fn(s, stripe) for every stripe, farming the stripes to

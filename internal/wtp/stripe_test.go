@@ -56,41 +56,6 @@ func TestShardBundleVectorMatchesMatrix(t *testing.T) {
 	}
 }
 
-// TestShardUnionVectorsMatchesFlat asserts the striped union reduction is
-// exactly the flat UnionVectors merge.
-func TestShardUnionVectorsMatchesFlat(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	for trial := 0; trial < 40; trial++ {
-		m := 4 + rng.Intn(50)
-		n := 4 + rng.Intn(10)
-		w := randomMatrix(t, rng, m, n, 0.3+0.5*rng.Float64())
-		perm := rng.Perm(n)
-		ka := 1 + rng.Intn(n-1)
-		itemsA := append([]int(nil), perm[:ka]...)
-		itemsB := append([]int(nil), perm[ka:]...)
-		sortInts(itemsA)
-		sortInts(itemsB)
-		theta := -0.1 + 0.4*rng.Float64()
-		aIDs, aVals := w.BundleVector(itemsA, 0, nil, nil)
-		bIDs, bVals := w.BundleVector(itemsB, theta, nil, nil)
-		sa, sb := 1+theta, 1.0
-		wantIDs, wantVals := UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, nil, nil)
-		for _, size := range stripeSizes(m) {
-			sh := mustShard(t, w, size)
-			gotIDs, gotVals := sh.UnionVectors(aIDs, aVals, sa, bIDs, bVals, sb, nil, nil)
-			if len(gotIDs) != len(wantIDs) {
-				t.Fatalf("stripe=%d: %d consumers, reference %d", size, len(gotIDs), len(wantIDs))
-			}
-			for j := range wantIDs {
-				if gotIDs[j] != wantIDs[j] || gotVals[j] != wantVals[j] {
-					t.Fatalf("stripe=%d: elem[%d] = (%d, %.17g), reference (%d, %.17g)",
-						size, j, gotIDs[j], gotVals[j], wantIDs[j], wantVals[j])
-				}
-			}
-		}
-	}
-}
-
 // TestStripeLayout checks the columnar segments tile the flat postings
 // exactly: concatenating every stripe's segment for an item reproduces the
 // item's posting list, and bounds partition the consumer axis.
