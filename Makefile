@@ -108,6 +108,7 @@ mutate-gate-fast:
 
 # Short fuzz pass over the incremental-union equivalence property, the WTP
 # matrix's Set/Delete/WithDelta sequences against a dense shadow, the
+# single-bundle price search against a per-consumer scan, the
 # mixed-bundling price sweep against its per-level reference, the one-pass
 # mixed merge kernel against its plain-loop reference (bit for bit), the worker's
 # query handlers (any body answers 200, 400 or 409) and the daemon's
@@ -118,6 +119,7 @@ mutate-gate-fast:
 fuzz:
 	$(GO) test ./internal/wtp -fuzz FuzzUnionVectors -fuzztime 30s -run '^$$'
 	$(GO) test ./internal/wtp -fuzz FuzzMatrixOps -fuzztime 15s -run '^$$'
+	$(GO) test ./internal/pricing -fuzz FuzzPriceUtility -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/pricing -fuzz FuzzPriceMixedStep -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/pricing -fuzz FuzzPriceMixedMerge -fuzztime 15s -run '^$$'
 	$(GO) test ./internal/cluster -fuzz FuzzWorkerQuery -fuzztime 15s -run '^$$'

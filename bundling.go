@@ -51,27 +51,25 @@
 //
 // The configuration algorithms run on an incremental merge-evaluation
 // engine. Candidate merges derive the merged bundle's interested-consumer
-// vector from the two parents' cached vectors in O(|a|+|b|) (striped
-// unions) instead of rescanning the raw item postings; candidate pricing
-// runs entirely in per-worker scratch buffers, building a bundle node
-// only for a merge an algorithm takes; mixed-bundling price search sweeps
-// all T price levels in O(m + T) by hashing consumers into price-level
-// buckets by their switch-threshold price rather than rescanning all m
-// consumers per level; and both the initial pair seeding and the
-// per-iteration re-pricing after each merge are evaluated by a chunked
-// parallel worker pool (Options via config.Params.Parallelism; results are
-// deterministic regardless of worker count).
-//
-// Measured on the 600×150 bench corpus (single core, see
-// BENCH_greedy.json): mixed greedy 3.41s → 0.64s per run (5.3×) with 7.8×
-// fewer allocations, mixed matching 1.79s → 0.37s (4.9×) with 7.4× fewer,
-// pure variants ~1.9× faster with ~80× fewer allocations — with revenues
-// matching the reference postings-scan path within 1e-9 (the fast path
-// reorders float arithmetic), as enforced by the equivalence property
-// tests in internal/config, internal/wtp and internal/pricing. Session
-// reuse amortizes the remaining indexing: repeated solves on one Solver
-// skip shard construction and singleton pricing entirely (see the
-// Solver/* rows in BENCH_greedy.json).
+// vector from the two parents' cached vectors in O(|a|+|b|) (a flat
+// merge of two sorted lists) instead of rescanning the raw item postings;
+// a mixed candidate is priced in the same pass, without building its
+// merged vector; candidate pricing runs entirely in per-worker scratch
+// buffers, building a bundle node only for a merge an algorithm takes;
+// mixed-bundling price search sweeps all T price levels in O(m + T) by
+// hashing consumers into price-level buckets by their switch-threshold
+// price rather than rescanning all m consumers per level; and both the
+// initial pair seeding and the per-iteration re-pricing after each merge
+// are evaluated by a chunked parallel worker pool (Options via
+// config.Params.Parallelism; results are deterministic regardless of
+// worker count). Revenues match the reference postings-scan path within
+// 1e-9 (the fast path reorders float arithmetic), as enforced by the
+// equivalence property tests in internal/config, internal/wtp and
+// internal/pricing. Session reuse amortizes the remaining indexing:
+// repeated solves on one Solver skip shard construction and singleton
+// pricing entirely. BENCH_greedy.json (`make bench`) records the time,
+// allocations and revenue of greedy and matching solves, one-shot and on
+// a session, of NewSolver and of evaluates, on the 600×150 bench corpus.
 //
 // # Serving
 //

@@ -115,14 +115,3 @@ func (m Model) ExpectedAdopters(price float64, wtps []float64) float64 {
 	}
 	return sum
 }
-
-// SampleAdopters draws the realized number of adopters at the given price.
-func (m Model) SampleAdopters(price float64, wtps []float64, rng *rand.Rand) int {
-	n := 0
-	for _, w := range wtps {
-		if m.Adopts(price, w, rng) {
-			n++
-		}
-	}
-	return n
-}

@@ -130,20 +130,6 @@ func TestAdoptsDeterministic(t *testing.T) {
 	}
 }
 
-func TestSampleAdoptersConverges(t *testing.T) {
-	m, _ := New(1, 1, 0)
-	rng := rand.New(rand.NewSource(7))
-	wtps := make([]float64, 2000)
-	for i := range wtps {
-		wtps[i] = 10
-	}
-	// P(adopt | 10, 10) = 0.5 → expect ≈ 1000 adopters.
-	n := m.SampleAdopters(10, wtps, rng)
-	if n < 900 || n > 1100 {
-		t.Errorf("sampled adopters = %d, want ≈ 1000", n)
-	}
-}
-
 func TestStepGammaThresholdShortCircuit(t *testing.T) {
 	m, _ := New(StepGammaThreshold, 1, DefaultEpsilon)
 	if !m.Deterministic() {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"bundling/internal/pricing"
 	"bundling/internal/setpack"
 	"bundling/internal/wtp"
 )
@@ -33,13 +32,40 @@ func smallRandomMatrix(t testing.TB, consumers, items, itemsPerConsumer int) *wt
 	return w
 }
 
-// enumeratePureOptimal prices every subset and solves set packing exactly —
-// the ground-truth optimal pure configuration for tiny N.
+// scanRevenue is the most revenue a bundle whose consumers have WTPs vals
+// earns on the pricing grid of T levels under a step model with bias alpha,
+// found by a direct O(m·T) scan that calls no pricing code: level t's price
+// is α·maxW·t/T, and a consumer adopts at it when its grid position
+// α·w/(α·maxW)·T + 1e-9 is at least t.
+func scanRevenue(vals []float64, alpha float64, T int) float64 {
+	maxW := 0.0
+	for _, w := range vals {
+		maxW = math.Max(maxW, w)
+	}
+	best := 0.0
+	if maxW <= 0 {
+		return best
+	}
+	for t := T; t >= 1; t-- {
+		n := 0.0
+		for _, w := range vals {
+			if alpha*w/(alpha*maxW)*float64(T)+1e-9 >= float64(t) {
+				n++
+			}
+		}
+		if rev := alpha * maxW * float64(t) / float64(T) * n; rev > best {
+			best = rev
+		}
+	}
+	return best
+}
+
+// enumeratePureOptimal prices every subset with scanRevenue and solves set
+// packing exactly — the ground-truth optimal pure configuration for tiny N.
 func enumeratePureOptimal(t *testing.T, w *wtp.Matrix, p Params) float64 {
 	t.Helper()
-	pr, err := pricing.New(p.Model, 2000)
-	if err != nil {
-		t.Fatal(err)
+	if !p.Model.Deterministic() {
+		t.Fatal("enumeratePureOptimal scans the step model only")
 	}
 	n := w.Items()
 	weights := make([]float64, 1<<uint(n))
@@ -57,9 +83,8 @@ func enumeratePureOptimal(t *testing.T, w *wtp.Matrix, p Params) float64 {
 		if len(items) == 1 {
 			theta = 0
 		}
-		ids, vals := w.BundleVector(items, theta, nil, nil)
-		_ = ids
-		weights[mask] = pr.PriceOptimal(vals).Revenue
+		_, vals := w.BundleVector(items, theta, nil, nil)
+		weights[mask] = scanRevenue(vals, p.Model.Alpha(), p.PriceLevels)
 	}
 	res, err := setpack.ExactDP(n, weights)
 	if err != nil {

@@ -2,6 +2,7 @@ package config
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -124,5 +125,34 @@ func TestMixedCostsStayConsistent(t *testing.T) {
 	}
 	if cfg.Profit > cfg.Revenue {
 		t.Errorf("profit %g exceeds revenue %g despite positive costs", cfg.Profit, cfg.Revenue)
+	}
+}
+
+// TestZeroProfitWeightIsSurplus: α = 0 maximizes consumer surplus alone on
+// every path, so each pair algorithm picks at α = 0 the bundles it picks at
+// α = 1e-12, with the same utility, in pure and in mixed bundling.
+func TestZeroProfitWeightIsSurplus(t *testing.T) {
+	w := smallRandomMatrix(t, 120, 14, 4)
+	itemsOf := func(cfg *Configuration) [][]int {
+		var out [][]int
+		for _, b := range append(cfg.Bundles, cfg.Components...) {
+			out = append(out, b.Items)
+		}
+		return out
+	}
+	for _, strat := range []Strategy{Pure, Mixed} {
+		for _, a := range pairAlgorithms() {
+			p := DefaultParams()
+			p.Strategy = strat
+			p.ProfitWeight = 0
+			zero := oneShot(t, a, w, p)
+			p.ProfitWeight = 1e-12
+			tiny := oneShot(t, a, w, p)
+			if !reflect.DeepEqual(itemsOf(zero), itemsOf(tiny)) ||
+				math.Abs(zero.Utility-tiny.Utility) > 1e-9*math.Max(1, math.Abs(tiny.Utility)) {
+				t.Errorf("%v %s: α = 0 gives %d bundles, utility %.12g; α = 1e-12 gives %d, %.12g",
+					strat, a.Name(), len(zero.Bundles), zero.Utility, len(tiny.Bundles), tiny.Utility)
+			}
+		}
 	}
 }

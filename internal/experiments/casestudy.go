@@ -98,7 +98,7 @@ func caseStudyTriple(w *wtp.Matrix, items [3]int, params config.Params) (*CaseSt
 	mkSingle := func(it int) offer {
 		o := offer{items: []int{it}}
 		o.ids, o.vals = w.BundleVector(o.items, 0, nil, nil)
-		o.quote = pr.PriceOptimal(o.vals)
+		o.quote = pr.PriceUtility(o.vals, pricing.RevenueObjective()).Quote
 		o.pay = make([]float64, len(o.ids))
 		o.surp = make([]float64, len(o.ids))
 		for j, v := range o.vals {
@@ -148,7 +148,7 @@ func caseStudyTriple(w *wtp.Matrix, items [3]int, params config.Params) (*CaseSt
 				curSurp[j] += ps[j]
 			}
 		}
-		mq := pr.PriceMixed(pricing.MixedOffer{CurPay: curPay, CurSurplus: curSurp, WB: o.vals, Lo: lo, Hi: hi})
+		mq := pr.PriceMixed(pricing.MixedOffer{CurPay: curPay, CurSurplus: curSurp, WB: o.vals, Lo: lo, Hi: hi, Obj: pricing.RevenueObjective()})
 		o.quote = pricing.Quote{Price: mq.Price, Revenue: mq.Revenue - mq.Baseline, Adopters: mq.Adopters}
 		o.pay = make([]float64, len(o.ids))
 		o.surp = make([]float64, len(o.ids))

@@ -62,8 +62,8 @@ func JointPolicy(env *Env, pairs int, params config.Params, seed int64) (*JointP
 		// conditioned within the Guiltinan window; revenue of the full
 		// offer evaluated under the same joint choice model so the two
 		// policies are compared apples-to-apples.
-		q1 := pr.PriceOptimal(v1)
-		q2 := pr.PriceOptimal(v2)
+		q1 := pr.PriceUtility(v1, pricing.RevenueObjective())
+		q2 := pr.PriceUtility(v2, pricing.RevenueObjective())
 		if q1.Price <= 0 || q2.Price <= 0 {
 			continue
 		}

@@ -53,13 +53,13 @@ func Table1() (*Table1Result, error) {
 	res := &Table1Result{}
 	idsA, valsA := w.BundleVector([]int{0}, 0, nil, nil)
 	idsB, valsB := w.BundleVector([]int{1}, 0, nil, nil)
-	qa := pr.PriceOptimal(valsA)
-	qb := pr.PriceOptimal(valsB)
+	qa := pr.PriceUtility(valsA, pricing.RevenueObjective())
+	qb := pr.PriceUtility(valsB, pricing.RevenueObjective())
 	res.PriceA, res.PriceB = qa.Price, qb.Price
 	res.ComponentsRevenue = qa.Revenue + qb.Revenue
 
 	ids, wb := w.BundleVector([]int{0, 1}, theta, nil, nil)
-	qp := pr.PriceOptimal(wb)
+	qp := pr.PriceUtility(wb, pricing.RevenueObjective())
 	res.PureRevenue = qp.Revenue
 	res.PriceBundle = qp.Price
 
@@ -85,7 +85,7 @@ func Table1() (*Table1Result, error) {
 	}
 	mq := pr.PriceMixed(pricing.MixedOffer{
 		CurPay: curPay, CurSurplus: curSurp, WB: wb,
-		Lo: lo, Hi: qa.Price + qb.Price,
+		Lo: lo, Hi: qa.Price + qb.Price, Obj: pricing.RevenueObjective(),
 	})
 	res.MixedRevenue = mq.Revenue
 

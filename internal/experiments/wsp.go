@@ -183,7 +183,7 @@ func wspSampleRun(w *wtp.Matrix, n int, exact bool, requireSize3 bool, params co
 			theta = 0
 		}
 		ids, vals = w.BundleVector(items, theta, ids, vals)
-		weights[mask] = pr.PriceOptimal(vals).Revenue
+		weights[mask] = pr.PriceUtility(vals, pricing.RevenueObjective()).Revenue
 	}
 	out.enumSec = time.Since(start).Seconds()
 

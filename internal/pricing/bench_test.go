@@ -3,8 +3,6 @@ package pricing
 import (
 	"math/rand"
 	"testing"
-
-	"bundling/internal/adoption"
 )
 
 func randomWTPs(n int, seed int64) []float64 {
@@ -14,36 +12,6 @@ func randomWTPs(n int, seed int64) []float64 {
 		out[i] = rng.Float64() * 30
 	}
 	return out
-}
-
-func BenchmarkPriceOptimalStep1000(b *testing.B) {
-	pr := Default()
-	wtps := randomWTPs(1000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.PriceOptimal(wtps)
-	}
-}
-
-func BenchmarkPriceOptimalSigmoidBucketed1000(b *testing.B) {
-	m, _ := adoption.New(1, 1, adoption.DefaultEpsilon)
-	pr, _ := New(m, DefaultLevels)
-	wtps := randomWTPs(1000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.PriceOptimal(wtps)
-	}
-}
-
-func BenchmarkPriceOptimalSigmoidExact1000(b *testing.B) {
-	m, _ := adoption.New(1, 1, adoption.DefaultEpsilon)
-	pr, _ := New(m, DefaultLevels)
-	pr.SetExact(true)
-	wtps := randomWTPs(1000, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.PriceOptimal(wtps)
-	}
 }
 
 func BenchmarkPriceUtility1000(b *testing.B) {
@@ -65,6 +33,7 @@ func BenchmarkPriceMixed1000(b *testing.B) {
 		CurSurplus: make([]float64, n),
 		WB:         make([]float64, n),
 		Lo:         8, Hi: 20,
+		Obj: RevenueObjective(),
 	}
 	for j := 0; j < n; j++ {
 		off.CurPay[j] = rng.Float64() * 10
@@ -74,15 +43,5 @@ func BenchmarkPriceMixed1000(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr.PriceMixed(off)
-	}
-}
-
-func BenchmarkPriceFromList1000(b *testing.B) {
-	pr := Default()
-	pl, _ := NewPriceList([]float64{1.99, 4.99, 9.99, 14.99, 19.99, 24.99})
-	wtps := randomWTPs(1000, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr.PriceFromList(wtps, pl)
 	}
 }

@@ -44,8 +44,8 @@ func Histogram(wtps []float64, alpha, maxW float64, levels int, counts, sums []f
 // pricing histogram: counts and sums as produced by Histogram against the
 // global maximum WTP maxW, summed element-wise over any partition of the
 // bundle's consumers. It returns the same quote PriceUtility computes from
-// the raw WTP vector (exactly, under the deterministic model and the default
-// objective; within float re-association noise otherwise).
+// the raw WTP vector (exactly, under the deterministic model and
+// RevenueObjective; within float re-association noise otherwise).
 //
 // The exact-sigmoid evaluation (SetExact with a stochastic model) needs the
 // raw per-consumer values and cannot price from a histogram; callers in that

@@ -42,8 +42,8 @@ func TestJointDominatesSeed(t *testing.T) {
 		}
 		// Incremental policy: price components individually, then the
 		// bundle in the Guiltinan window.
-		q1 := pr.PriceOptimal(off.W1)
-		q2 := pr.PriceOptimal(off.W2)
+		q1 := pr.PriceUtility(off.W1, RevenueObjective())
+		q2 := pr.PriceUtility(off.W2, RevenueObjective())
 		if q1.Price <= 0 || q2.Price <= 0 {
 			continue
 		}
@@ -86,7 +86,7 @@ func TestJointFindsKnownOptimum(t *testing.T) {
 	// Incremental: each component prices at 6 (four buyers, revenue 24,
 	// beating 10·2 = 20); the AB-fans then buy both separately for 12, so
 	// no bundle helps and the incremental total is 48.
-	q1 := pr.PriceOptimal(off.W1)
+	q1 := pr.PriceUtility(off.W1, RevenueObjective())
 	if math.Abs(q1.Price-6) > 0.2 {
 		t.Fatalf("unexpected standalone price %g", q1.Price)
 	}

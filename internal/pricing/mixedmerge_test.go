@@ -61,11 +61,11 @@ type mergeCase struct {
 // negative; some consumers' switch thresholds land on a grid price of T
 // levels or 2ε either side of it; and the window is a part's pricing window
 // (max price, sum of prices), narrow enough for tie windows to overlap, or
-// degenerate (a free part). The objective is the default or α = 0.6 with a
+// degenerate (a free part). The objective is revenue or α = 0.6 with a
 // unit cost.
 func randomMergeCase(rng *rand.Rand, T int) mergeCase {
 	const eps = adoption.DefaultEpsilon
-	c := mergeCase{universe: 1 + rng.Intn(300)}
+	c := mergeCase{universe: 1 + rng.Intn(300), obj: RevenueObjective()}
 	lists := rng.Intn(3) // 0 disjoint, 1 identical, 2 overlapping
 	var inA, inB []bool
 	for u := 0; u < c.universe; u++ {

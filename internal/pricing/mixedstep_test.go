@@ -26,17 +26,8 @@ func referencePriceMixed(p *Pricer, off MixedOffer) MixedQuote {
 	return q
 }
 
-// referenceObjective is the offer's objective, the default when unset.
-func referenceObjective(off MixedOffer) Objective {
-	if (off.Obj == Objective{}) {
-		return RevenueObjective()
-	}
-	return off.Obj
-}
-
 // referenceBaseline is the quote of the offer with no bundle on sale.
 func referenceBaseline(off MixedOffer) MixedQuote {
-	obj := referenceObjective(off)
 	var basePay, baseCost, baseSur float64
 	for j, pay := range off.CurPay {
 		basePay += pay
@@ -44,7 +35,7 @@ func referenceBaseline(off MixedOffer) MixedQuote {
 		baseSur += at0(off.CurESurplus, j)
 	}
 	q := MixedQuote{Revenue: basePay, Baseline: basePay, Surplus: baseSur}
-	q.BaselineUtility = obj.ProfitWeight*(basePay-baseCost) + (1-obj.ProfitWeight)*baseSur
+	q.BaselineUtility = off.Obj.ProfitWeight*(basePay-baseCost) + (1-off.Obj.ProfitWeight)*baseSur
 	q.Utility = q.BaselineUtility
 	return q
 }
@@ -52,22 +43,22 @@ func referenceBaseline(off MixedOffer) MixedQuote {
 // referenceAt is the quote base with the bundle on sale at pb, evaluated
 // consumer by consumer.
 func referenceAt(p *Pricer, off MixedOffer, base MixedQuote, pb float64) MixedQuote {
-	obj := referenceObjective(off)
 	rev, cost, sur, adopters := p.offerOutcome(off, pb)
 	base.Price, base.Revenue, base.Adopters, base.Surplus = pb, rev, adopters, sur
-	base.Utility = obj.ProfitWeight*(rev-cost) + (1-obj.ProfitWeight)*sur
+	base.Utility = off.Obj.ProfitWeight*(rev-cost) + (1-off.Obj.ProfitWeight)*sur
 	base.Feasible = true
 	return base
 }
 
-// randomMixedOffer fabricates a plausible offer state: per-consumer bundle
-// WTPs, current payments at or below WTP, and surpluses consistent with a
-// prior purchase.
+// randomMixedOffer fabricates a plausible offer state under the revenue
+// objective: per-consumer bundle WTPs, current payments at or below WTP,
+// and surpluses consistent with a prior purchase.
 func randomMixedOffer(rng *rand.Rand, m int, withCosts bool) MixedOffer {
 	off := MixedOffer{
 		CurPay:     make([]float64, m),
 		CurSurplus: make([]float64, m),
 		WB:         make([]float64, m),
+		Obj:        RevenueObjective(),
 	}
 	if withCosts {
 		off.CurCost = make([]float64, m)
@@ -99,12 +90,14 @@ func randomMixedOffer(rng *rand.Rand, m int, withCosts bool) MixedOffer {
 // starMixedOffer mimics the bench corpus: two items whose WTPs are
 // λ·list·stars/5 for whole stars, each priced at one of its WTP levels.
 // Consumers buy every item they can afford, so many share one state and tie
-// in τ. The bundle's window is (max item price, sum of item prices).
+// in τ. The bundle's window is (max item price, sum of item prices), and
+// the objective is revenue.
 func starMixedOffer(rng *rand.Rand, m int) MixedOffer {
 	off := MixedOffer{
 		CurPay:     make([]float64, m),
 		CurSurplus: make([]float64, m),
 		WB:         make([]float64, m),
+		Obj:        RevenueObjective(),
 	}
 	var list, price [2]float64
 	for i := range list {
@@ -130,7 +123,7 @@ func starMixedOffer(rng *rand.Rand, m int) MixedOffer {
 // either 2ε bound, above Hi and below Lo. Current surplus is zero, so τ is
 // the bundle WTP itself. With narrow set the window is so tight that the
 // level spacing is below 4ε, and a consumer sits in the tie windows of
-// several levels.
+// several levels. The objective is revenue.
 func edgeMixedOffer(rng *rand.Rand, T, m int, narrow bool) MixedOffer {
 	const eps = adoption.DefaultEpsilon
 	off := MixedOffer{
@@ -138,6 +131,7 @@ func edgeMixedOffer(rng *rand.Rand, T, m int, narrow bool) MixedOffer {
 		CurSurplus: make([]float64, m),
 		WB:         make([]float64, m),
 		Lo:         5 + rng.Float64()*10,
+		Obj:        RevenueObjective(),
 	}
 	off.Hi = off.Lo + 1 + rng.Float64()*10
 	if narrow {
@@ -302,6 +296,7 @@ func TestPriceMixedStepTieWindow(t *testing.T) {
 		CurSurplus: []float64{surplus, 1, 0.5},
 		Lo:         lo,
 		Hi:         hi,
+		Obj:        RevenueObjective(),
 	}
 	got := p.PriceMixed(off)
 	want := referencePriceMixed(p, off)

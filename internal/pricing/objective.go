@@ -5,10 +5,10 @@ package pricing
 //	utility = α·profit + (1-α)·consumer surplus
 //
 // with profit = (price − unit cost) × adopters. The paper's evaluation
-// fixes α = 1 and zero variable cost (digital goods), in which case profit
-// maximization degenerates to the revenue maximization implemented by
-// PriceOptimal; this type generalizes pricing to any α and known unit
-// costs, as the paper's discussion promises.
+// fixes α = 1 and zero variable cost (digital goods), RevenueObjective, in
+// which case the utility at each price is exactly the revenue; this type
+// generalizes pricing to any α and known unit costs, as the paper's
+// discussion promises. The zero value is α = 0: consumer surplus only.
 type Objective struct {
 	// ProfitWeight is α ∈ [0,1]: 1 maximizes profit only (the default
 	// throughout the paper's evaluation), 0 maximizes consumer surplus.
@@ -30,8 +30,9 @@ type UtilityQuote struct {
 }
 
 // PriceUtility returns the utility-maximizing price for a bundle whose
-// interested consumers have the given WTP values, under the objective.
-// With the default RevenueObjective it agrees with PriceOptimal.
+// interested consumers have the given WTP values, under the objective. It
+// is the package's one single-bundle price search; under RevenueObjective
+// its Quote is the revenue-maximizing price on the grid.
 //
 // Implementation mirrors the histogram pricing of Sec. 4.2, additionally
 // carrying per-bucket WTP sums so the surplus at each price level is

@@ -1,18 +1,19 @@
-// Package pricing finds the revenue-maximizing price of a single bundle
-// (paper Sec. 4.2) and evaluates mixed-bundling offers.
+// Package pricing finds the price of a single bundle that maximizes the
+// seller's utility α·profit + (1−α)·surplus (paper Secs. 1 and 4.2; the
+// revenue objective, α = 1 at zero cost, is the paper's evaluation), and
+// evaluates mixed-bundling offers.
 //
-// The search uses a discretized price list of T levels (the paper uses
-// T = 100 and observes larger T yields no meaningful revenue). Consumers are
-// hashed into equi-distanced buckets by willingness to pay, so the optimal
-// price of a bundle with m interested consumers costs O(m + T) under the
-// deterministic step model, matching the paper's O(M) pricing claim. Under
-// the sigmoid model the package offers a bucketed O(m + T²) approximation
-// (default) and an exact O(m·T) evaluation.
+// PriceUtility is the one single-bundle search. It scans a discretized price
+// list of T levels (the paper uses T = 100 and observes larger T yields no
+// meaningful revenue). Consumers are hashed into equi-distanced buckets by
+// willingness to pay, so the optimal price of a bundle with m interested
+// consumers costs O(m + T) under the deterministic step model, matching the
+// paper's O(M) pricing claim. Under the sigmoid model the search is a
+// bucketed O(m + T²) approximation (default) or an exact O(m·T) evaluation.
 package pricing
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"bundling/internal/adoption"
@@ -52,7 +53,6 @@ type Pricer struct {
 // number of calls but must not be shared between concurrent ones; solvers
 // typically pool one per worker.
 type Scratch struct {
-	counts  []int
 	fcounts []float64
 	fsums   []float64
 	mids    []float64
@@ -73,10 +73,9 @@ func NewScratch(levels int) *Scratch {
 
 // ensure grows the level-indexed buffers to hold levels+1 entries.
 func (sc *Scratch) ensure(levels int) {
-	if len(sc.counts) >= levels+1 {
+	if len(sc.fcounts) >= levels+1 {
 		return
 	}
-	sc.counts = make([]int, levels+1)
 	sc.fcounts = make([]float64, levels+1)
 	sc.fsums = make([]float64, levels+1)
 	sc.mids = make([]float64, levels+1)
@@ -120,130 +119,9 @@ func (p *Pricer) Levels() int { return p.levels }
 
 // Quote is the result of pricing a bundle.
 type Quote struct {
-	Price    float64 // revenue-maximizing price (0 if no positive demand)
+	Price    float64 // chosen price (0 if no positive demand)
 	Revenue  float64 // expected revenue at Price
 	Adopters float64 // expected number of adopters at Price
-}
-
-// PriceOptimal returns the revenue-maximizing price for a bundle whose
-// interested consumers have the given willingness-to-pay values (Eq. 2).
-// Consumers with zero WTP may be omitted; they never contribute revenue.
-func (p *Pricer) PriceOptimal(wtps []float64) Quote {
-	sc := p.getScratch()
-	defer p.putScratch(sc)
-	return p.PriceOptimalIn(sc, wtps)
-}
-
-// PriceOptimalIn is PriceOptimal with caller-owned scratch, for hot paths
-// that price many bundles and want to avoid the pool round-trip.
-func (p *Pricer) PriceOptimalIn(sc *Scratch, wtps []float64) Quote {
-	sc.ensure(p.levels)
-	maxW := 0.0
-	for _, w := range wtps {
-		if w > maxW {
-			maxW = w
-		}
-	}
-	if maxW <= 0 {
-		return Quote{}
-	}
-	if p.model.Deterministic() {
-		return p.priceStep(sc, wtps, maxW)
-	}
-	if p.exact {
-		return p.priceSigmoidExact(wtps, maxW)
-	}
-	return p.priceSigmoidBucketed(sc, wtps, maxW)
-}
-
-// priceStep prices under the step model with a histogram + suffix counts.
-func (p *Pricer) priceStep(sc *Scratch, wtps []float64, maxW float64) Quote {
-	T := p.levels
-	counts := sc.counts[:T+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	alpha := p.model.Alpha()
-	for _, w := range wtps {
-		// Bucket t covers effective WTP α·w ∈ [maxEff·t/T, maxEff·(t+1)/T).
-		idx := int(alpha*w/(alpha*maxW)*float64(T) + bucketSlack)
-		if idx > T {
-			idx = T
-		}
-		if idx >= 0 {
-			counts[idx]++
-		}
-	}
-	// adopters(t) = #consumers with α·w ≥ price level t.
-	best := Quote{}
-	adopters := 0
-	for t := T; t >= 1; t-- {
-		adopters += counts[t]
-		price := alpha * maxW * float64(t) / float64(T)
-		rev := price * float64(adopters)
-		if rev > best.Revenue {
-			best = Quote{Price: price, Revenue: rev, Adopters: float64(adopters)}
-		}
-	}
-	return best
-}
-
-// priceSigmoidBucketed approximates expected adopters by collapsing
-// consumers into T buckets and evaluating the sigmoid at bucket midpoints.
-func (p *Pricer) priceSigmoidBucketed(sc *Scratch, wtps []float64, maxW float64) Quote {
-	T := p.levels
-	counts := sc.counts[:T+1]
-	for i := range counts {
-		counts[i] = 0
-	}
-	for _, w := range wtps {
-		idx := int(w/maxW*float64(T) + bucketSlack)
-		if idx > T {
-			idx = T
-		}
-		counts[idx]++
-	}
-	mids := sc.mids[:T+1]
-	for t := 0; t <= T; t++ {
-		mids[t] = (float64(t) + 0.5) * maxW / float64(T)
-		if mids[t] > maxW {
-			mids[t] = maxW
-		}
-	}
-	best := Quote{}
-	for t := 1; t <= T; t++ {
-		price := maxW * float64(t) / float64(T)
-		var f float64
-		for s := 0; s <= T; s++ {
-			if counts[s] > 0 {
-				f += float64(counts[s]) * p.model.Probability(price, mids[s])
-			}
-		}
-		if rev := price * f; rev > best.Revenue {
-			best = Quote{Price: price, Revenue: rev, Adopters: f}
-		}
-	}
-	return best
-}
-
-// priceSigmoidExact evaluates every price level against every consumer.
-func (p *Pricer) priceSigmoidExact(wtps []float64, maxW float64) Quote {
-	T := p.levels
-	best := Quote{}
-	for t := 1; t <= T; t++ {
-		price := maxW * float64(t) / float64(T)
-		f := p.model.ExpectedAdopters(price, wtps)
-		if rev := price * f; rev > best.Revenue {
-			best = Quote{Price: price, Revenue: rev, Adopters: f}
-		}
-	}
-	return best
-}
-
-// SampleRevenue draws a realized revenue for a bundle sold at price to
-// consumers with the given WTPs, by sampling each adoption decision.
-func (p *Pricer) SampleRevenue(price float64, wtps []float64, rng *rand.Rand) float64 {
-	return price * float64(p.model.SampleAdopters(price, wtps, rng))
 }
 
 // MixedOffer describes a candidate mixed-bundling offer: a set of existing
@@ -264,8 +142,8 @@ func (p *Pricer) SampleRevenue(price float64, wtps []float64, rng *rand.Rand) fl
 // price of what the bundle adds is within the consumer's WTP for it.
 //
 // All slices are aligned: index j refers to the same consumer. CurCost and
-// CurESurplus may be nil (all zeros); they matter only for non-default
-// objectives.
+// CurESurplus may be nil (all zeros); they matter only under unit costs or
+// α < 1.
 type MixedOffer struct {
 	CurPay     []float64 // expected payment per consumer under existing offers
 	CurSurplus []float64 // deterministic surplus per consumer under existing offers
@@ -280,8 +158,9 @@ type MixedOffer struct {
 	CurESurplus []float64
 	// BundleCost is the new bundle's variable cost per unit.
 	BundleCost float64
-	// Obj is the seller's objective. The zero value selects
-	// RevenueObjective (α = 1, zero costs).
+	// Obj is the seller's objective. The zero value is α = 0 at zero
+	// cost (consumer surplus only); pass RevenueObjective to maximize
+	// revenue.
 	Obj Objective
 }
 
@@ -293,8 +172,8 @@ type MixedQuote struct {
 	Adopters float64 // expected bundle adopters at Price
 	Feasible bool    // Utility > BaselineUtility within a valid price window
 	// Utility and BaselineUtility carry the seller's objective with and
-	// without the bundle; under the default objective they equal Revenue
-	// and Baseline.
+	// without the bundle; under RevenueObjective, with no current costs,
+	// they equal Revenue and Baseline.
 	Utility         float64
 	BaselineUtility float64
 	Surplus         float64 // expected consumer surplus with the bundle
@@ -314,9 +193,6 @@ func (p *Pricer) PriceMixedIn(sc *Scratch, off MixedOffer) MixedQuote {
 	sc.ensure(p.levels)
 	if len(off.CurPay) != len(off.WB) || len(off.CurSurplus) != len(off.WB) {
 		panic("pricing: misaligned mixed offer vectors")
-	}
-	if (off.Obj == Objective{}) {
-		off.Obj = RevenueObjective()
 	}
 	if p.model.Deterministic() && off.Hi > off.Lo {
 		s := p.startSweep(sc, off.Lo, off.Hi, off.BundleCost)
@@ -383,9 +259,6 @@ type MergePart struct {
 // that offer in sc and prices it.
 func (p *Pricer) PriceMixedMerge(sc *Scratch, a, b *MergePart, lo, hi float64, obj Objective) MixedQuote {
 	bundleCost := obj.UnitCost
-	if (obj == Objective{}) {
-		obj = RevenueObjective()
-	}
 	sweep := p.model.Deterministic() && hi > lo
 	var s mixSweep
 	if sweep {

@@ -24,10 +24,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestPriceOptimalEmpty(t *testing.T) {
 	p := Default()
-	if q := p.PriceOptimal(nil); q.Revenue != 0 || q.Price != 0 {
+	if q := p.PriceUtility(nil, RevenueObjective()); q.Revenue != 0 || q.Price != 0 {
 		t.Errorf("empty vector should quote zero, got %+v", q)
 	}
-	if q := p.PriceOptimal([]float64{0, 0}); q.Revenue != 0 {
+	if q := p.PriceUtility([]float64{0, 0}, RevenueObjective()); q.Revenue != 0 {
 		t.Errorf("all-zero vector should quote zero, got %+v", q)
 	}
 }
@@ -40,20 +40,20 @@ func TestPaperComponentsExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qa := p.PriceOptimal([]float64{12, 8, 5})
+	qa := p.PriceUtility([]float64{12, 8, 5}, RevenueObjective())
 	if math.Abs(qa.Price-8) > 0.02 || math.Abs(qa.Revenue-16) > 0.05 {
 		t.Errorf("item A quote = %+v, want price 8 revenue 16", qa)
 	}
 	if qa.Adopters != 2 {
 		t.Errorf("item A adopters = %g, want 2", qa.Adopters)
 	}
-	qb := p.PriceOptimal([]float64{4, 2, 11})
+	qb := p.PriceUtility([]float64{4, 2, 11}, RevenueObjective())
 	if math.Abs(qb.Price-11) > 0.02 || math.Abs(qb.Revenue-11) > 0.05 {
 		t.Errorf("item B quote = %+v, want price 11 revenue 11", qb)
 	}
 	// Pure bundle {A,B} with θ=-0.05: WTPs {15.2, 9.5, 15.2} → price 15.2,
 	// revenue 30.4.
-	qp := p.PriceOptimal([]float64{15.2, 9.5, 15.2})
+	qp := p.PriceUtility([]float64{15.2, 9.5, 15.2}, RevenueObjective())
 	if math.Abs(qp.Price-15.2) > 0.02 || math.Abs(qp.Revenue-30.4) > 0.05 {
 		t.Errorf("bundle quote = %+v, want price 15.2 revenue 30.4", qp)
 	}
@@ -94,7 +94,7 @@ func TestQuickStepNearBruteForce(t *testing.T) {
 		for i := range wtps {
 			wtps[i] = rng.Float64() * 50
 		}
-		got := pr.PriceOptimal(wtps)
+		got := pr.PriceUtility(wtps, RevenueObjective())
 		want := bruteForceStep(wtps)
 		// Grid resolution: max/T per level; revenue loss ≤ adopters·step.
 		tol := want.Adopters*maxOf(wtps)/2000 + 1e-9
@@ -119,7 +119,7 @@ func maxOf(xs []float64) float64 {
 func TestGridEqualityAdopts(t *testing.T) {
 	pr, _ := New(adoption.Step(), 100)
 	// All consumers at exactly 10; optimum must be price 10 with everyone.
-	q := pr.PriceOptimal([]float64{10, 10, 10, 10})
+	q := pr.PriceUtility([]float64{10, 10, 10, 10}, RevenueObjective())
 	if math.Abs(q.Price-10) > 1e-9 || q.Adopters != 4 {
 		t.Errorf("quote = %+v, want price 10 with 4 adopters", q)
 	}
@@ -127,10 +127,10 @@ func TestGridEqualityAdopts(t *testing.T) {
 
 func TestSigmoidRevenueBelowStep(t *testing.T) {
 	wtps := []float64{10, 12, 8, 20, 5}
-	step := Default().PriceOptimal(wtps)
+	step := Default().PriceUtility(wtps, RevenueObjective())
 	model, _ := adoption.New(0.5, 1, adoption.DefaultEpsilon)
 	soft, _ := New(model, DefaultLevels)
-	q := soft.PriceOptimal(wtps)
+	q := soft.PriceUtility(wtps, RevenueObjective())
 	// Uncertainty forces lower expected revenue than the certain optimum
 	// (paper Fig. 3 trend).
 	if q.Revenue >= step.Revenue {
@@ -148,8 +148,8 @@ func TestSigmoidExactVsBucketed(t *testing.T) {
 	bucketed, _ := New(model, DefaultLevels)
 	exact, _ := New(model, DefaultLevels)
 	exact.SetExact(true)
-	qb := bucketed.PriceOptimal(wtps)
-	qe := exact.PriceOptimal(wtps)
+	qb := bucketed.PriceUtility(wtps, RevenueObjective())
+	qe := exact.PriceUtility(wtps, RevenueObjective())
 	if math.Abs(qb.Revenue-qe.Revenue)/qe.Revenue > 0.02 {
 		t.Errorf("bucketed revenue %g deviates >2%% from exact %g", qb.Revenue, qe.Revenue)
 	}
@@ -158,19 +158,10 @@ func TestSigmoidExactVsBucketed(t *testing.T) {
 func TestAlphaScalesPrices(t *testing.T) {
 	biased, _ := adoption.New(adoption.DefaultGamma, 1.25, adoption.DefaultEpsilon)
 	pr, _ := New(biased, 400)
-	q := pr.PriceOptimal([]float64{10, 10})
+	q := pr.PriceUtility([]float64{10, 10}, RevenueObjective())
 	// With α = 1.25 every consumer acts as if WTP were 12.5.
 	if math.Abs(q.Price-12.5) > 0.05 {
 		t.Errorf("price = %g, want ≈ 12.5 under α=1.25", q.Price)
-	}
-}
-
-func TestSampleRevenueDeterministic(t *testing.T) {
-	pr := Default()
-	rng := rand.New(rand.NewSource(1))
-	got := pr.SampleRevenue(10, []float64{12, 9, 10}, rng)
-	if got != 20 {
-		t.Errorf("sampled revenue = %g, want 20 (two adopters at 10)", got)
 	}
 }
 
@@ -210,6 +201,7 @@ func TestPriceMixedFindsUpliftingPrice(t *testing.T) {
 		WB:         []float64{10, 11},
 		Lo:         8,
 		Hi:         14,
+		Obj:        RevenueObjective(),
 	}
 	q := pr.PriceMixed(off)
 	if !q.Feasible {
@@ -253,6 +245,7 @@ func TestPriceMixedNeverBelowBaseline(t *testing.T) {
 			CurPay:     make([]float64, n),
 			CurSurplus: make([]float64, n),
 			WB:         make([]float64, n),
+			Obj:        RevenueObjective(),
 		}
 		for j := 0; j < n; j++ {
 			off.CurPay[j] = rng.Float64() * 10

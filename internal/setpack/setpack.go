@@ -217,55 +217,3 @@ func GreedyRatio(n int, weights []float64) (Result, error) {
 	sort.Ints(res.Masks)
 	return res, nil
 }
-
-// Candidate is an explicit weighted set for the list-based greedy used by
-// baselines that don't enumerate the full universe (e.g. frequent-itemset
-// bundling feeds mined itemsets here).
-type Candidate struct {
-	Items  []int
-	Weight float64
-}
-
-// GreedyCandidates packs an explicit candidate list by descending weight
-// density (w/√|S|, as in GreedyRatio), skipping candidates that overlap
-// earlier picks.
-func GreedyCandidates(cands []Candidate) Result {
-	order := make([]int, len(cands))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
-		ra := ca.Weight / math.Sqrt(math.Max(1, float64(len(ca.Items))))
-		rb := cb.Weight / math.Sqrt(math.Max(1, float64(len(cb.Items))))
-		if ra != rb {
-			return ra > rb
-		}
-		return order[a] < order[b]
-	})
-	used := make(map[int]bool)
-	var res Result
-	for _, idx := range order {
-		c := cands[idx]
-		ok := c.Weight > 0
-		for _, it := range c.Items {
-			if used[it] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		mask := 0
-		for _, it := range c.Items {
-			used[it] = true
-			if it < MaxItems {
-				mask |= 1 << uint(it)
-			}
-		}
-		res.Masks = append(res.Masks, mask)
-		res.Weight += c.Weight
-	}
-	return res
-}

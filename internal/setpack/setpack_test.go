@@ -208,26 +208,6 @@ func TestGreedyAdversarial(t *testing.T) {
 	}
 }
 
-func TestGreedyCandidates(t *testing.T) {
-	cands := []Candidate{
-		{Items: []int{0, 1}, Weight: 12}, // ratio 6
-		{Items: []int{0}, Weight: 5},
-		{Items: []int{1}, Weight: 5},
-		{Items: []int{2}, Weight: 5},
-		{Items: []int{2}, Weight: 0}, // zero weight never picked
-	}
-	r := GreedyCandidates(cands)
-	if math.Abs(r.Weight-17) > 1e-12 {
-		t.Errorf("weight = %g, want 17", r.Weight)
-	}
-	if len(r.Masks) != 2 {
-		t.Errorf("masks = %v, want 2 picks", r.Masks)
-	}
-	if got := GreedyCandidates(nil); got.Weight != 0 || len(got.Masks) != 0 {
-		t.Errorf("empty candidates: %+v", got)
-	}
-}
-
 func TestBBMatchesDPOnLargerInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 12

@@ -26,21 +26,35 @@ func randomMatrix(t testing.TB, consumers, items int, seed int64) *wtp.Matrix {
 
 // TestPureStepMatchesExpectedRevenue: for a pure configuration (disjoint
 // offers) under the deterministic step model, the simulator must realize
-// exactly the configuration's expected revenue.
+// exactly the configuration's expected revenue, whichever algorithm built
+// it.
 func TestPureStepMatchesExpectedRevenue(t *testing.T) {
+	algs := []config.Algorithm{
+		config.ComponentsAlgorithm(),
+		config.Optimal2Algorithm(),
+		config.MatchingAlgorithm(),
+		config.GreedyAlgorithm(),
+		config.FreqItemsetAlgorithm(config.FreqItemsetOptions{MinSupport: 0.05}),
+	}
 	for seed := int64(0); seed < 5; seed++ {
 		w := randomMatrix(t, 50, 10, seed)
 		p := config.DefaultParams()
 		p.Theta = 0.05
-		cfg, err := config.MatchingBased(w, p)
+		s, err := config.NewSolver(w, p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := Run(w, cfg, p.Theta, p.Model, rand.New(rand.NewSource(1)))
-		// Tolerance: the pricing grid may land a price within float noise
-		// of a consumer's WTP; choice and pricing agree to ~1e-6.
-		if math.Abs(out.Revenue-cfg.Revenue) > 1e-5*math.Max(1, cfg.Revenue) {
-			t.Errorf("seed %d: simulated %g, expected %g", seed, out.Revenue, cfg.Revenue)
+		for _, a := range algs {
+			cfg, err := s.Solve(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := Run(w, cfg, p.Theta, p.Model, rand.New(rand.NewSource(1)))
+			// Tolerance: the pricing grid may land a price within float noise
+			// of a consumer's WTP; choice and pricing agree to ~1e-6.
+			if math.Abs(out.Revenue-cfg.Revenue) > 1e-5*math.Max(1, cfg.Revenue) {
+				t.Errorf("seed %d %s: simulated %g, expected %g", seed, a.Name(), out.Revenue, cfg.Revenue)
+			}
 		}
 	}
 }
